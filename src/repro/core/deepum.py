@@ -53,7 +53,7 @@ class DeepUM:
             self.manager,
             seed=seed,
         )
-        self.runtime.attach_allocator(self.device.allocator)
+        self.manager.attach_allocator(self.device.allocator)
         self.device.replayer = IterationReplayer(self.device, self.manager)
 
     # ------------------------------------------------------------------ #

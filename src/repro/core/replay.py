@@ -92,7 +92,7 @@ class IterationReplayer:
         self.device = device
         self.manager = manager
         manager.replay_recorder = self
-        device.allocator.state_listeners.append(self._on_block_state)
+        manager.attach_allocator(device.allocator)
         self.replaying = False
         self.iterations_replayed = 0
         self._recording = False
@@ -137,7 +137,8 @@ class IterationReplayer:
                 (_LAUNCH, launch.name, launch.arg_signature, accesses, compute)
             )
 
-    def _on_block_state(self, block: "PTBlock", active: bool) -> None:
+    def on_block_state(self, block: "PTBlock", active: bool) -> None:
+        """Called by the manager for every PT-block state change."""
         if not self._recording:
             return
         key = id(block)

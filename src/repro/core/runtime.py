@@ -11,7 +11,7 @@ invoking the driver callback before each launch.
 
 from __future__ import annotations
 
-from ..torchsim.allocator import CachingAllocator, PTBlock
+from ..torchsim.allocator import PTBlock
 from ..torchsim.kernels import KernelLaunch
 from .driver import DeepUMDriver
 from .exec_table import ExecutionIDTable
@@ -32,9 +32,7 @@ class DeepUMRuntime:
         self.launches += 1
         return exec_id
 
-    def attach_allocator(self, allocator: CachingAllocator) -> None:
-        """Install the "ten-line PyTorch patch": PT block state listener."""
-        allocator.state_listeners.append(self._on_pt_block_state)
-
-    def _on_pt_block_state(self, pt_block: PTBlock, active: bool) -> None:
+    def on_pt_block_state(self, pt_block: PTBlock, active: bool) -> None:
+        """PT block (in)activity, forwarded by the memory manager's
+        allocator listener (:meth:`UMMemoryManager.attach_allocator`)."""
         self.driver.notify_pt_block_state(pt_block, active)

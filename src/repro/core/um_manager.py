@@ -19,6 +19,7 @@ from ..sim.um_space import UMBlock, advice_labels
 from ..torchsim.kernels import KernelCostModel, KernelLaunch
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..torchsim.allocator import CachingAllocator, PTBlock
     from ..torchsim.context import Device
     from .runtime import DeepUMRuntime
 
@@ -51,8 +52,28 @@ class UMMemoryManager:
         # is drawn from the device RNG each launch).
         self._access_plan_cache: dict[tuple, list[BlockAccess]] = {}
         #: Set by :class:`~repro.core.replay.IterationReplayer` when one is
-        #: installed; receives every live launch's resolved plan.
+        #: installed; receives every live launch's resolved plan and every
+        #: PT-block state change.
         self.replay_recorder = None
+
+    def attach_allocator(self, allocator: "CachingAllocator") -> None:
+        """Install the framework patch: one PT-block state listener.
+
+        DeepUM's "fewer than ten lines" PyTorch change is a single
+        callback on the caching allocator. The manager owns it and fans
+        each event out on the simulator side — to the runtime (DeepUM's
+        invalidation) and to the iteration replayer's recorder — so the
+        allocator sees one listener however many consumers there are.
+        Idempotent.
+        """
+        if self._on_pt_block_state not in allocator.state_listeners:
+            allocator.state_listeners.append(self._on_pt_block_state)
+
+    def _on_pt_block_state(self, pt_block: "PTBlock", active: bool) -> None:
+        if self.runtime is not None:
+            self.runtime.on_pt_block_state(pt_block, active)
+        if self.replay_recorder is not None:
+            self.replay_recorder.on_block_state(pt_block, active)
 
     # ------------------------------------------------------------------ #
 
@@ -93,13 +114,14 @@ class UMMemoryManager:
     def advise(self, addr: int, nbytes: int, advice: int) -> list[UMBlock]:
         """Apply a :class:`~repro.sim.um_space.MemAdvise` hint to a range.
 
-        Marks the spanned UM blocks, notifies the active prefetch policy
-        (when one is wired; naive UM has none, so its hints are
-        eviction-neutral markers only), and journals the hint on the
-        decision track so ``repro doctor`` can attribute hint-driven
+        Marks the spanned UM blocks through the device's advice writer
+        (so its per-tier resident counts stay exact), notifies the active
+        prefetch policy (when one is wired; naive UM has none, so its
+        hints are eviction-neutral markers only), and journals the hint on
+        the decision track so ``repro doctor`` can attribute hint-driven
         outcomes. Returns the advised blocks.
         """
-        blocks = self.engine.um.advise(addr, nbytes, advice)
+        blocks = self.engine.um.advise(addr, nbytes, advice, self.engine.gpu)
         runtime = self.runtime
         policy = runtime.driver.policy if runtime is not None else None
         note = getattr(policy, "note_advice", None)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from .um_space import BlockLocation, UMBlock
+from .um_space import ADVISE_CPU, ADVISE_STICKY, BlockLocation, UMBlock
 
 
 class GPUOutOfMemory(RuntimeError):
@@ -32,6 +32,13 @@ class GPUMemory:
     #: free-victim supply. Admission/removal maintain it here; the
     #: invalidation registry (the sole flag writer) adjusts it on flips.
     invalidated_resident: int = 0
+    #: Resident blocks whose advice carries the CPU-preferred / a sticky
+    #: bit — the supply of the victim lattice's advice tiers, which lets
+    #: its walks stop once a tier has no member left ahead. Admission and
+    #: removal maintain them; :meth:`set_advice` (the sole writer of
+    #: advice on blocks that may be resident) adjusts them on changes.
+    cpu_preferred_resident: int = 0
+    sticky_resident: int = 0
     #: Called with each block that actually leaves the device; the engine
     #: uses this to drop stale in-flight bookkeeping for evicted blocks.
     evict_listeners: list = field(default_factory=list, repr=False)
@@ -59,6 +66,8 @@ class GPUMemory:
         self.used_bytes += block.populated_bytes
         if block.invalidated:
             self.invalidated_resident += 1
+        if block.advice:
+            self._count_advice(block.advice, 1)
         block.location = BlockLocation.GPU
         block.last_migrated_at = now
 
@@ -74,6 +83,8 @@ class GPUMemory:
         self.used_bytes -= block.populated_bytes
         if block.invalidated:
             self.invalidated_resident -= 1
+        if block.advice:
+            self._count_advice(block.advice, -1)
         block.location = BlockLocation.CPU if to_cpu else BlockLocation.UNPOPULATED
         if not to_cpu:
             block.dirty = False
@@ -93,6 +104,52 @@ class GPUMemory:
         block.invalidated = flag
         if block.index in self.resident:
             self.invalidated_resident += 1 if flag else -1
+
+    def set_advice(self, block: UMBlock, advice: int) -> None:
+        """Set a block's advice mask, keeping the advice counts exact.
+
+        The advice twin of :meth:`set_invalidated`: every advice write to
+        a block that may be resident goes through here (the memory
+        manager's ``advise`` does).
+        """
+        if block.advice == advice:
+            return
+        if block.index in self.resident:
+            self._count_advice(block.advice, -1)
+            self._count_advice(advice, 1)
+        block.advice = advice
+
+    def _count_advice(self, advice: int, delta: int) -> None:
+        if advice & ADVISE_CPU:
+            self.cpu_preferred_resident += delta
+        if advice & ADVISE_STICKY:
+            self.sticky_resident += delta
+
+    def check_invariants(self) -> None:
+        """Recount every residency fact from the blocks; raise on drift.
+
+        One pass over the resident blocks: ``used_bytes`` must equal their
+        populated bytes, and each resident count its recount. Cheap enough
+        to call after every step of a test.
+        """
+        blocks = list(self.resident.values())
+        recount = {
+            "used_bytes": sum(b.populated_bytes for b in blocks),
+            "invalidated_resident": sum(b.invalidated for b in blocks),
+            "cpu_preferred_resident":
+                sum(bool(b.advice & ADVISE_CPU) for b in blocks),
+            "sticky_resident":
+                sum(bool(b.advice & ADVISE_STICKY) for b in blocks),
+        }
+        drift = {name: (getattr(self, name), want)
+                 for name, want in recount.items()
+                 if getattr(self, name) != want}
+        misfiled = [i for i, b in self.resident.items()
+                    if b.index != i or b.location is not BlockLocation.GPU]
+        if misfiled:
+            drift["resident"] = (misfiled, "keyed by index, located on GPU")
+        if drift:
+            raise AssertionError(f"GPU residency drift (have, recount): {drift}")
 
     def migration_order(self):
         """Blocks in least-recently-migrated-first order."""

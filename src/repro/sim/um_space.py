@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..constants import PAGE_SIZE, UM_BLOCK_SIZE
 from .address import align_up
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .gpu import GPUMemory
 
 
 class MemAdvise(enum.IntFlag):
@@ -46,8 +50,16 @@ class MemAdvise(enum.IntFlag):
     ACCESSED_BY = 8
 
 
+# The masks the policies test on every victim walk are plain ``int``s:
+# ``int & IntFlag`` dispatches to ``enum.Flag.__rand__`` and builds a flag
+# object per test, a large share of host time on those walks.
+
 #: Hints that bias toward device residency (evicted last, seeded first).
-ADVISE_STICKY = MemAdvise.READ_MOSTLY | MemAdvise.PREFERRED_LOCATION_GPU
+ADVISE_STICKY = int(MemAdvise.READ_MOSTLY | MemAdvise.PREFERRED_LOCATION_GPU)
+#: The hint that asks for host residency (evicted first among live blocks).
+ADVISE_CPU = int(MemAdvise.PREFERRED_LOCATION_CPU)
+#: Every defined advice bit.
+ADVISE_ALL = int(sum(MemAdvise))
 
 
 def advice_labels(advice: int) -> str:
@@ -97,6 +109,8 @@ class UMBlock:
     populated_bytes: int = 0
     #: :class:`MemAdvise` bitmask; 0 (the default) means "no advice" and
     #: every consumer must behave exactly as if the field did not exist.
+    #: Like ``invalidated``, written through
+    #: :meth:`~repro.sim.gpu.GPUMemory.set_advice` once it may be resident.
     advice: int = 0
 
     def populate(self, pages: int) -> None:
@@ -206,20 +220,29 @@ class UnifiedMemorySpace:
         """UM blocks overlapped by a byte range, materialized."""
         return [self.block(i) for i in self.blocks_spanned(addr, nbytes)]
 
-    def advise(self, addr: int, nbytes: int, advice: int) -> list[UMBlock]:
+    def advise(self, addr: int, nbytes: int, advice: int,
+               gpu: "GPUMemory | None" = None) -> list[UMBlock]:
         """OR ``advice`` into every block overlapping the byte range.
 
         Mirrors ``cudaMemAdvise``: the hint applies at block granularity,
         so a range sharing its edge blocks with other tensors advises
         those neighbours too (exactly the real API's sharp edge).
         Materializes the blocks without populating any pages.
+
+        Blocks that may be resident must be advised through ``gpu``
+        (:meth:`~repro.sim.gpu.GPUMemory.set_advice`, the memory
+        manager's path), which keeps the device's per-tier resident
+        counts exact; without one the bits are written directly.
         """
         flags = int(advice)
-        if flags and not (0 < flags <= sum(MemAdvise)):
+        if flags & ~ADVISE_ALL:
             raise ValueError(f"unknown advice bits {advice:#x}")
         blocks = self.blocks_of(addr, nbytes)
         for blk in blocks:
-            blk.advice |= flags
+            if gpu is not None:
+                gpu.set_advice(blk, blk.advice | flags)
+            else:
+                blk.advice |= flags
         return blocks
 
     def touch(self, addr: int, nbytes: int) -> list[UMBlock]:

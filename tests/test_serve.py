@@ -193,7 +193,7 @@ def test_read_mostly_blocks_are_evicted_last():
 
     um, gpu, admit = _eviction_stack()
     blocks = [admit(i, now=float(i)) for i in range(4)]
-    blocks[0].advice |= int(MemAdvise.READ_MOSTLY)  # oldest, but sticky
+    gpu.set_advice(blocks[0], int(MemAdvise.READ_MOSTLY))  # oldest, but sticky
     policy = ProtectedLRUEvictionPolicy(
         _NoProtection(), prefer_invalidated=True, protect_predicted=True)
     need_all = sum(b.populated_bytes for b in blocks)
@@ -207,7 +207,7 @@ def test_cpu_preferred_blocks_are_preferred_demand_victims():
 
     um, gpu, admit = _eviction_stack()
     blocks = [admit(i, now=float(i)) for i in range(4)]
-    blocks[3].advice |= int(MemAdvise.PREFERRED_LOCATION_CPU)  # newest
+    gpu.set_advice(blocks[3], int(MemAdvise.PREFERRED_LOCATION_CPU))  # newest
     policy = ProtectedLRUEvictionPolicy(
         _NoProtection(), prefer_invalidated=True, protect_predicted=True)
     victims = policy.select_victims(gpu, needed_bytes=512, now=10.0)
@@ -261,8 +261,8 @@ def _preevict_stack(capacity_blocks=4):
 def test_preevictor_skips_sticky_and_cpu_preferred_blocks():
     um, gpu, pe, admit = _preevict_stack()
     blocks = [admit(i, now=float(i)) for i in range(4)]
-    blocks[0].advice |= int(MemAdvise.READ_MOSTLY)
-    blocks[1].advice |= int(MemAdvise.PREFERRED_LOCATION_CPU)
+    gpu.set_advice(blocks[0], int(MemAdvise.READ_MOSTLY))
+    gpu.set_advice(blocks[1], int(MemAdvise.PREFERRED_LOCATION_CPU))
     assert pe.tick(1.0)
     # Skips both advised blocks (one sticky, one host-preferred): the
     # batch comes from the unadvised tail instead.
@@ -275,7 +275,7 @@ def test_preevictor_skips_sticky_and_cpu_preferred_blocks():
 def test_preevictor_still_drops_invalidated_advised_blocks():
     um, gpu, pe, admit = _preevict_stack()
     blocks = [admit(i, now=float(i)) for i in range(4)]
-    blocks[0].advice |= int(MemAdvise.READ_MOSTLY)
+    gpu.set_advice(blocks[0], int(MemAdvise.READ_MOSTLY))
     gpu.set_invalidated(blocks[0])
     assert pe.tick(1.0)
     assert not gpu.is_resident(blocks[0])  # dead data outranks any hint
