@@ -1,39 +1,44 @@
-"""Steady-state iteration replay: skip the model layer once it repeats.
+"""Steady-state replay: skip the model layer once a unit of work repeats.
 
-Training loops are periodic: after the first couple of iterations the
-torchsim layer (graph construction, autograd, the optimizer) emits exactly
-the same allocator/kernel event stream every iteration.  Re-deriving that
-stream each time is pure overhead for the memory-system simulation, which
-only consumes the stream.  The :class:`IterationReplayer` records each live
-iteration's events at the allocator and memory-manager boundaries, and once
-consecutive iterations produce identical streams it *replays* the recorded
-stream directly — driving the real allocator (so invalidation listeners and
+Training loops are periodic, and so is a server answering same-shaped
+requests: after the first couple of iterations (or requests) the torchsim
+layer — graph construction, autograd, the optimizer — emits exactly the
+same allocator/kernel event stream every time.  Re-deriving that stream is
+pure overhead for the memory-system simulation, which only consumes it.
+The :class:`IterationReplayer` records each live unit's events at the
+allocator and memory-manager boundaries, and once consecutive units
+produce identical streams it *replays* the recorded stream directly —
+driving the real allocator (so invalidation listeners and
 :class:`~repro.torchsim.allocator.AllocatorStats` stay exact) and the real
 kernel path (so execution IDs, correlation tables and the engine see the
 same calls) while skipping tensor and autograd bookkeeping entirely.
 
 Why this is sound: the model layer is open-loop with respect to the memory
 system.  Nothing in model or tensor code reads simulated time, engine
-counters or driver state, UM allocation never fails, and no ``step_fn``
-branches on the iteration number — so the emitted stream is a function of
-model-layer state alone, and a stream that repeats for consecutive
-iterations repeats forever.  The two guarded exceptions:
+counters or driver state, UM allocation never fails, and no unit branches
+on its iteration or request number — so the emitted stream is a function
+of model-layer state alone, and a stream that repeats for consecutive
+units repeats forever.  Two details keep it exact:
 
-* irregular (sparse) launches draw their access subset from the device RNG
-  every launch, so their access plans are fresh list objects each time and
-  the identity comparison below never declares them stable;
+* irregular (sparse) launches draw their access subset from the device
+  RNG every launch.  The manager caches one
+  :class:`~repro.core.um_manager.SparseAccessPlan` per operand signature,
+  so the recorded plan is identity-stable, and replay draws from the same
+  RNG in the same order as a live unit would;
 * allocator divergence during replay (an allocation returning a different
   address than recorded) raises :class:`ReplayDivergence` — a hard error,
   never silent corruption.
 
-Replay preserves bit-identical simulated output by construction: the
-allocator, runtime, driver and engine receive exactly the calls a live
-iteration would have made, in the same order, with the same arguments.
+A unit that never repeats — a decode step whose KV-cache grows — simply
+keeps executing live.  Replay preserves bit-identical simulated output by
+construction: the allocator, runtime, driver and engine receive exactly the
+calls a live unit would have made, in the same order, with the same
+arguments.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..torchsim.allocator import PTBlock
@@ -41,8 +46,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..torchsim.kernels import KernelLaunch
     from .um_manager import UMMemoryManager
 
-#: Consecutive identical iteration pairs required before replay engages
-#: (i.e. three byte-identical iterations in a row).
+#: Consecutive identical unit pairs required before replay engages (i.e.
+#: three byte-identical iterations or requests in a row).
 STABLE_PAIRS = 2
 
 _ALLOC = 0
@@ -50,8 +55,8 @@ _FREE = 1
 _LAUNCH = 2
 
 #: Ages for free-event references: the allocation lives in the current or
-#: the previous iteration.  Frees of older blocks are not expressible and
-#: mark the iteration non-replayable.
+#: the previous unit.  Frees of older blocks are not expressible and mark
+#: the unit non-replayable.
 _CUR = 0
 _PREV = 1
 
@@ -81,11 +86,14 @@ class _LaunchShim:
 
 
 class IterationReplayer:
-    """Records one training iteration's event stream; replays it when stable.
+    """Records one unit's event stream; replays it once stable.
 
     Installed on :class:`~repro.torchsim.context.Device` by the UM-family
-    facades; :meth:`~repro.models.base.Workload.run` routes through
-    :meth:`run` when present.
+    facades. A unit is one call of :meth:`step`:
+    :meth:`~repro.models.base.Workload.run` steps once per training
+    iteration, and
+    :meth:`~repro.serve.workloads.DLRMInferenceSession.serve_request` once
+    per request.
     """
 
     def __init__(self, device: "Device", manager: "UMMemoryManager"):
@@ -98,7 +106,7 @@ class IterationReplayer:
         self._recording = False
         self._stable_pairs = 0
         self._stream: Optional[list] = None
-        # Current / previous live iteration, rolled by _end_record.
+        # Current / previous live unit, rolled by _end_record.
         self._events: list = []
         self._replayable = True
         self._prev_events: Optional[list] = None
@@ -108,25 +116,28 @@ class IterationReplayer:
         self._prev_map: dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
-    # the Workload.run loop
+    # the per-unit entry
     # ------------------------------------------------------------------ #
 
-    def run(self, workload, iterations: int) -> None:
-        for _ in range(iterations):
-            if self._stream is not None:
-                self._replay_iteration()
-                workload.iterations_run += 1
-            else:
-                self._recording = True
-                self._replayable = True
-                try:
-                    workload.step()
-                finally:
-                    self._recording = False
-                self._end_record()
+    def step(self, fn: Callable[[], None]) -> bool:
+        """Run one unit of work: replay it if stable, else ``fn`` live.
+
+        Returns True when the unit was replayed (``fn`` did not run).
+        """
+        if self._stream is not None:
+            self._replay_iteration()
+            return True
+        self._recording = True
+        self._replayable = True
+        try:
+            fn()
+        finally:
+            self._recording = False
+        self._end_record()
+        return False
 
     # ------------------------------------------------------------------ #
-    # recording (live iterations)
+    # recording (live units)
     # ------------------------------------------------------------------ #
 
     def on_launch(self, launch: "KernelLaunch", accesses: list,
@@ -157,7 +168,7 @@ class IterationReplayer:
         if idx is not None and self._prev_alloc_blocks[idx] is block:
             self._events.append((_FREE, _PREV, idx))
             return
-        # Freeing a block allocated before the previous iteration (warm-up
+        # Freeing a block allocated before the previous unit (warm-up
         # teardown): not expressible as a replayable reference.
         self._replayable = False
 
@@ -175,7 +186,7 @@ class IterationReplayer:
             self._stream = self._freeze(self._events)
             self._prev_alloc_blocks = self._alloc_blocks
         else:
-            # A non-replayable iteration contains events a replay could not
+            # A non-replayable unit contains events a replay could not
             # express (it recorded no marker for them), so it must never
             # anchor a stable pair: drop it instead of comparing against it.
             self._prev_events = self._events if self._replayable else None
@@ -193,11 +204,10 @@ class IterationReplayer:
             if ea[0] != eb[0]:
                 return False
             if ea[0] == _LAUNCH:
-                # The access plan must be the *same list object*: the
-                # manager's plan cache returns one object per operand
-                # signature, so identity certifies an identical dense
-                # access sequence, while sparse plans (fresh lists drawn
-                # from the RNG) can never compare stable.
+                # The access plan must be the *same object*: the
+                # manager's plan caches return one object per operand
+                # signature, so identity certifies an identical access
+                # sequence (for a sparse plan, an identical draw to make).
                 if (
                     ea[3] is not eb[3]
                     or ea[1] != eb[1]
@@ -240,7 +250,7 @@ class IterationReplayer:
                 kind = ev[0]
                 if kind == _LAUNCH:
                     device.kernel_count += 1
-                    replay_kernel(ev[1], ev[2], ev[3])
+                    replay_kernel(ev[1], ev[2], ev[3], device)
                 elif kind == _ALLOC:
                     block = allocate(ev[1])
                     if block.addr != ev[2]:

@@ -45,15 +45,16 @@ class UMMemoryManager:
         self.peak_populated_bytes = 0
         # (addr, nbytes) -> per-block [(block index, overlap pages)].
         self._decomp_cache: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        # Operand-range signature -> finished BlockAccess plan. Dense
-        # kernels on pooled (reused) addresses produce the same ordered,
-        # deduplicated access list every launch; rebuilding it dominated
-        # launch overhead. Sparse launches are never cached (their subset
-        # is drawn from the device RNG each launch).
-        self._access_plan_cache: dict[tuple, list[BlockAccess]] = {}
+        # Operand-range signature -> finished access plan. Kernels on
+        # pooled (reused) addresses produce the same ordered, deduplicated
+        # access list every launch; rebuilding it dominated launch
+        # overhead. Sparse launches (keyed by signature and SparseAccess)
+        # cache everything but the RNG draw.
+        self._access_plan_cache: dict[
+            tuple, "list[BlockAccess] | SparseAccessPlan"] = {}
         #: Set by :class:`~repro.core.replay.IterationReplayer` when one is
-        #: installed; receives every live launch's resolved plan and every
-        #: PT-block state change.
+        #: installed; receives every live launch's plan and every PT-block
+        #: state change.
         self.replay_recorder = None
 
     def attach_allocator(self, allocator: "CachingAllocator") -> None:
@@ -81,27 +82,30 @@ class UMMemoryManager:
         now = self.engine.now
         if self.runtime is not None:
             self.runtime.before_launch(launch, now)
-        accesses = self._build_accesses(launch, device)
+        plan = self._access_plan(launch)
+        accesses = plan if launch.sparse is None else plan.draw(device.rng)
         compute = self.cost_model.compute_time(launch)
         rec = self.replay_recorder
         if rec is not None:
-            rec.on_launch(launch, accesses, compute)
+            rec.on_launch(launch, plan, compute)
         self.engine.execute_kernel(
             KernelExecution(payload=launch, accesses=accesses, compute_time=compute)
         )
 
-    def replay_kernel(self, payload, accesses: list[BlockAccess],
-                      compute: float) -> None:
+    def replay_kernel(self, payload, plan: "list[BlockAccess] | SparseAccessPlan",
+                      compute: float, device: "Device") -> None:
         """Re-issue a recorded launch: the tail of :meth:`run_kernel`.
 
-        ``payload`` is a shim carrying the signature fields; ``accesses``
-        is the cached plan captured at record time (steady-state blocks are
-        fully populated, so skipping ``_build_accesses`` has no side
-        effects a live cache hit would not also skip).
+        ``payload`` is a shim carrying the signature fields; ``plan`` is
+        the cached plan captured at record time (steady-state blocks are
+        fully populated, so skipping ``_access_plan`` has no side effects
+        a live cache hit would not also skip). A sparse plan draws its
+        subset from ``device.rng`` here, as the live launch did.
         """
         now = self.engine.now
         if self.runtime is not None:
             self.runtime.before_launch(payload, now)
+        accesses = plan if type(plan) is list else plan.draw(device.rng)
         self.engine.execute_kernel(
             KernelExecution(payload=payload, accesses=accesses,
                             compute_time=compute)
@@ -201,55 +205,88 @@ class UMMemoryManager:
         self._decomp_cache[key] = parts
         return parts
 
-    def _build_accesses(
-        self, launch: KernelLaunch, device: "Device"
-    ) -> list[BlockAccess]:
-        """Ordered, deduplicated UM block accesses for one kernel.
+    def _access_plan(
+        self, launch: KernelLaunch
+    ) -> "list[BlockAccess] | SparseAccessPlan":
+        """The cached access plan of one launch, built on first use.
 
-        Dense launches are served from a plan cache keyed by the operands'
-        (addr, nbytes) ranges: the decomposition, dedup order and page
-        counts are all functions of that signature alone (populated page
-        counts never shrink), so the cached list is bit-identical to a
-        rebuild. The engine only reads the list, never mutates it.
+        Plans are keyed by the operands' (addr, nbytes) ranges: the
+        decomposition, dedup order and page counts are all functions of
+        that signature alone (populated page counts never shrink), so a
+        cached plan is bit-identical to a rebuild. A dense plan is the
+        ordered, deduplicated access list itself; a sparse plan is a
+        :class:`SparseAccessPlan` whose subset is drawn per launch. Either
+        way one object per signature, which is what lets the iteration
+        replayer certify a repeating stream by identity. The engine only
+        reads access lists, never mutates them.
         """
-        operands = launch.operands
+        # Key on the raw PT-block address: UM-managed tensors are never
+        # swapped out, so ``storage.block`` is always attached here and the
+        # property indirection of ``Tensor.addr`` is dead weight on the
+        # per-launch path.
+        ranges = tuple([(t.storage.block.addr, t.nbytes)
+                        for t in launch.operands])
         sparse = launch.sparse
-        if sparse is None:
-            # Key on the raw PT-block address: UM-managed tensors are never
-            # swapped out, so ``storage.block`` is always attached here and
-            # the property indirection of ``Tensor.addr`` is dead weight on
-            # the per-launch path.
-            key = tuple([(t.storage.block.addr, t.nbytes)
-                         for t in operands])
-            cached = self._access_plan_cache.get(key)
-            if cached is not None:
-                return cached
+        key = ranges if sparse is None else (ranges, sparse)
+        cached = self._access_plan_cache.get(key)
+        if cached is not None:
+            return cached
         um = self.engine.um
-        seen: set[int] = set()
-        accesses: list[BlockAccess] = []
-        for pos, tensor in enumerate(operands):
-            parts = self._decompose(tensor.addr, tensor.nbytes)
-            if sparse is not None and pos == sparse.tensor_index:
-                parts = self._sparse_subset(parts, sparse.coverage, device)
-            for idx, pages in parts:
-                if idx in seen:
-                    continue
-                seen.add(idx)
-                accesses.append(BlockAccess(block=um.block(idx), pages=pages))
+        operands = [[BlockAccess(block=um.block(idx), pages=pages)
+                     for idx, pages in self._decompose(addr, nbytes)]
+                    for addr, nbytes in ranges]
+        plan: "list[BlockAccess] | SparseAccessPlan"
         if sparse is None:
-            self._access_plan_cache[key] = accesses
-        return accesses
-
-    def _sparse_subset(
-        self,
-        parts: list[tuple[int, int]],
-        coverage: float,
-        device: "Device",
-    ) -> list[tuple[int, int]]:
-        """Random subset in random order: irregular embedding access."""
-        count = max(1, int(len(parts) * coverage))
-        if count >= len(parts):
-            chosen = device.rng.permutation(len(parts))
+            plan = _dedup(operands)
         else:
-            chosen = device.rng.choice(len(parts), size=count, replace=False)
-        return [parts[int(i)] for i in chosen]
+            plan = SparseAccessPlan(operands, sparse.tensor_index,
+                                    sparse.coverage)
+        self._access_plan_cache[key] = plan
+        return plan
+
+
+class SparseAccessPlan:
+    """Everything about a sparse launch's accesses except the draw.
+
+    Holds each operand's ordered block accesses. :meth:`draw` picks the
+    sparse operand's subset — a random subset in random order, the
+    irregular embedding access — from the device RNG, then deduplicates
+    in operand order. The draw is one ``permutation`` (full coverage) or
+    one ``choice`` without replacement per launch, with arguments fixed
+    by the plan, so a replayed launch consumes the RNG exactly as a live
+    one does.
+    """
+
+    __slots__ = ("operands", "tensor_index", "_count")
+
+    def __init__(self, operands: list[list[BlockAccess]], tensor_index: int,
+                 coverage: float):
+        self.operands = operands
+        self.tensor_index = tensor_index
+        self._count = max(1, int(len(operands[tensor_index]) * coverage))
+
+    def draw(self, rng) -> list[BlockAccess]:
+        """One launch's ordered, deduplicated accesses."""
+        parts = self.operands[self.tensor_index]
+        n = len(parts)
+        if self._count >= n:
+            chosen = rng.permutation(n)
+        else:
+            chosen = rng.choice(n, size=self._count, replace=False)
+        ops = list(self.operands)
+        ops[self.tensor_index] = [parts[i] for i in chosen.tolist()]
+        return _dedup(ops)
+
+
+def _dedup(operands: list[list[BlockAccess]]) -> list[BlockAccess]:
+    """Concatenate, keeping each block's first access."""
+    seen: set[int] = set()
+    accesses: list[BlockAccess] = []
+    for ops in operands:
+        for acc in ops:
+            idx = acc.block.index
+            if idx in seen:
+                continue
+            seen.add(idx)
+            accesses.append(acc)
+    return accesses

@@ -48,11 +48,11 @@ class Workload:
 
     def run(self, iterations: int) -> None:
         replayer = self.device.replayer
-        if replayer is not None:
-            replayer.run(self, iterations)
-            return
         for _ in range(iterations):
-            self.step()
+            if replayer is None:
+                self.step()
+            elif replayer.step(self.step):
+                self.iterations_run += 1
 
     # ------------------------------------------------------------------ #
 

@@ -3,23 +3,30 @@
 Unlike a training :class:`~repro.models.base.Workload` (step = forward +
 backward + optimizer), a serving session owns long-lived state — embedding
 tables, a growing KV-cache — and exposes ``serve_request``: run one
-request's kernels through the engine. Tapes are built with recording off
-(no backward pass will ever run, and recording would retain every
-activation's storage), which also means the steady-state iteration
-replayer never engages: every request executes live, as a server would.
+request's kernels through the engine. Each forward pass records its tape
+and ends with :meth:`~repro.torchsim.autograd.Tape.release`, which frees
+every activation it allocated — the frees a framework's caching allocator
+would see, which DeepUM's invalidation relies on — so a request leaves the
+allocator where it found it and the footprint stays at its calibrated
+ratio.
 
 Two sessions:
 
 * :class:`DLRMInferenceSession` — batched recommender inference over the
   same scaled embedding tables the training workload builds
   (:func:`repro.models.dlrm.dlrm_dims`). Each request's sparse lookups
-  draw a fresh irregular table subset from the device RNG.
+  draw a fresh irregular table subset from the device RNG. Requests reuse
+  the same activation addresses, so after three identical requests the
+  steady-state replayer (:mod:`repro.core.replay`) takes over, drawing
+  the same subsets a live request would.
 * :class:`GPT2DecodeSession` — an autoregressive decode loop over a GPT-2
   L-shaped model (:func:`repro.models.gpt2.gpt2_dims`). Each request
   decodes ``decode_tokens`` tokens; every token appends K/V to a
   session-persistent chunked cache and attends over *all* cached chunks,
   so the footprint grows monotonically across requests until it overflows
-  the device and the UM policies are doing real work.
+  the device and the UM policies are doing real work. Every token frees its
+  activations; decode always executes live, since each token's attention
+  stream depends on the cache's length.
 
 Hint plans are the FBGEMM-style advice an operator would apply: giant
 sparsely-accessed tables are ``PREFERRED_LOCATION_CPU | ACCESSED_BY``
@@ -90,10 +97,17 @@ class DLRMInferenceSession:
         self.requests_served = 0
 
     def serve_request(self, index: int) -> None:
-        tape = Tape(device=self.device)
-        tape.recording = False
-        self.model(tape, self.dense, self.lookups)
+        replayer = self.device.replayer
+        if replayer is None:
+            self._forward()
+        else:
+            replayer.step(self._forward)
         self.requests_served += 1
+
+    def _forward(self) -> None:
+        tape = Tape(device=self.device)
+        self.model(tape, self.dense, self.lookups)
+        tape.release()
 
     def hint_plan(self) -> list[tuple[Tensor, int]]:
         plan: list[tuple[Tensor, int]] = []
@@ -176,7 +190,6 @@ class GPT2DecodeSession:
         self._ensure_chunks()
         device = self.device
         tape = Tape(device=device)
-        tape.recording = False
         b, h, dk, d = self.batch, self.heads, self.dk, self.d_model
         x = F.embedding(tape, self.tok_emb.table, self.token)   # [b, 1, d]
         for i, layer in enumerate(self.layers):
@@ -201,6 +214,7 @@ class GPT2DecodeSession:
         x = self.ln_f(tape, x)
         flat = reshape_copy(tape, x, (b, d), "dec_flat")
         self.lm_head(tape, flat)
+        tape.release()
         self.tokens_decoded += 1
 
     def serve_request(self, index: int) -> None:

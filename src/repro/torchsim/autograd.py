@@ -6,7 +6,9 @@ the backward kernels and produces input gradients), accumulating gradients
 that fan in from several consumers, and — crucially for the paper's
 invalidation optimization — freeing saved activations and consumed gradient
 tensors as soon as they are dead, so the caching allocator sees the real
-PyTorch alloc/free churn.
+PyTorch alloc/free churn. Forward-only passes (inference) end with
+``Tape.release`` instead, which frees every recorded activation the same
+way without emitting a kernel.
 """
 
 from __future__ import annotations
@@ -41,11 +43,10 @@ class TapeEntry:
 
 @dataclass
 class Tape:
-    """Execution tape for one training step."""
+    """Execution tape for one training step or inference pass."""
 
     device: "Device"
     entries: list[TapeEntry] = field(default_factory=list)
-    recording: bool = True
 
     def record(
         self,
@@ -55,8 +56,6 @@ class Tape:
         backward: BackwardFn,
         saved: Sequence["Tensor"] = (),
     ) -> None:
-        if not self.recording:
-            return
         for t in saved:
             if not t.persistent:
                 t.storage.retain()
@@ -113,6 +112,20 @@ class Tape:
             if not g.persistent and g.alive:
                 g.release()
         grads.clear()
+        self.entries.clear()
+
+    def release(self) -> None:
+        """End a forward-only pass: free every activation it recorded.
+
+        Walks the entries in reverse and makes the calls :meth:`backward`
+        makes for an entry that receives no gradient, so an inference pass
+        returns the allocator to where it started — the frees DeepUM's
+        invalidation relies on, and the address reuse that lets the
+        iteration replayer recognise a repeating request.
+        """
+        for entry in reversed(self.entries):
+            entry.release_saved()
+            self._release_output(entry)
         self.entries.clear()
 
     @staticmethod

@@ -9,7 +9,7 @@ swaps the entire memory system (DeepUM, naive UM, LMS, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import TYPE_CHECKING, Optional, Protocol
 
 import numpy as np
 
@@ -18,6 +18,9 @@ from .backend import MemoryBackend
 from .dtypes import DType, float32
 from .kernels import KernelLaunch
 from . import tensor as _tensor
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..core.replay import IterationReplayer
 
 
 class MemoryManager(Protocol):
@@ -73,9 +76,9 @@ class Device:
     manager: MemoryManager
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
     kernel_count: int = 0
-    #: Optional steady-state iteration replayer (see repro.core.replay);
-    #: consulted by Workload.run. None: every iteration executes live.
-    replayer: object = None
+    #: Optional steady-state replayer (see repro.core.replay); consulted
+    #: by Workload.run and DLRM serving. None: every unit executes live.
+    replayer: Optional["IterationReplayer"] = None
 
     @staticmethod
     def with_backend(backend: MemoryBackend, manager: MemoryManager, seed: int = 0) -> "Device":

@@ -232,7 +232,11 @@ def batch_norm2d(tape: "Tape", x: "Tensor", gamma: "Tensor", beta: "Tensor") -> 
             save_stats.release()
         return [grad_x, grad_gamma, grad_beta]
 
-    tape.record("batch_norm2d", (x, gamma, beta), out, backward, saved=(x,))
+    tape.record("batch_norm2d", (x, gamma, beta), out, backward,
+                saved=(x, save_stats))
+    # The tape now holds the only reference: backward frees the stats
+    # right after its kernel, a forward-only pass in Tape.release.
+    save_stats.release()
     return out
 
 
@@ -256,7 +260,11 @@ def layer_norm(tape: "Tape", x: "Tensor", gamma: "Tensor", beta: "Tensor") -> "T
             save_stats.release()
         return [grad_x, grad_gamma, grad_beta]
 
-    tape.record("layer_norm", (x, gamma, beta), out, backward, saved=(x,))
+    tape.record("layer_norm", (x, gamma, beta), out, backward,
+                saved=(x, save_stats))
+    # The tape now holds the only reference: backward frees the stats
+    # right after its kernel, a forward-only pass in Tape.release.
+    save_stats.release()
     return out
 
 
@@ -364,11 +372,10 @@ def dropout(tape: "Tape", x: "Tensor", p: float = 0.1) -> "Tensor":
     def backward(grad_out: "Tensor") -> Sequence[Optional["Tensor"]]:
         grad_x = device.empty(x.shape, x.dtype)
         _emit(device, "dropout_bwd", sig, [grad_out, mask], [grad_x], x.numel)
-        if mask.alive:
-            mask.release()
         return [grad_x]
 
     tape.record("dropout", (x,), out, backward, saved=(mask,))
+    mask.release()  # owned by the tape from here on
     return out
 
 
@@ -389,11 +396,10 @@ def max_pool2d(tape: "Tape", x: "Tensor", *, kernel: int, stride: int) -> "Tenso
     def backward(grad_out: "Tensor") -> Sequence[Optional["Tensor"]]:
         grad_x = device.empty(x.shape, x.dtype)
         _emit(device, "max_pool2d_bwd", sig, [grad_out, indices], [grad_x], x.numel)
-        if indices.alive:
-            indices.release()
         return [grad_x]
 
     tape.record("max_pool2d", (x,), out, backward, saved=(indices,))
+    indices.release()  # owned by the tape from here on
     return out
 
 

@@ -98,8 +98,36 @@ def test_tape_clears_after_backward(sim_device):
     assert tape.entries == []
 
 
-def test_recording_can_be_disabled(sim_device):
-    tape = Tape(device=sim_device, recording=False)
-    x = sim_device.empty((4, 4))
-    F.relu(tape, x)
+def test_release_frees_forward_activations(sim_device):
+    """A forward-only pass returns the allocator to where it started and
+    emits no kernel."""
+    lin = Linear(sim_device, 8, 8)
+    x = sim_device.empty((2, 8), persistent=True)
+    before = sim_device.allocator.stats.allocated_bytes
+    tape = Tape(device=sim_device)
+    y = F.relu(tape, lin(tape, x))
+    F.gelu(tape, y)
+    assert sim_device.allocator.stats.allocated_bytes > before
+    launched = len(sim_device.manager.launches)
+    tape.release()
     assert tape.entries == []
+    assert sim_device.allocator.stats.allocated_bytes == before
+    assert len(sim_device.manager.launches) == launched
+    assert not y.alive and x.alive
+
+
+def test_release_frees_tape_owned_buffers(sim_device):
+    """Normalization stats, dropout masks and pooling indices are owned by
+    the tape, so a forward-only pass frees them too."""
+    d = sim_device
+    x = d.empty((2, 4, 8, 8), persistent=True)
+    params = [d.empty((4,), persistent=True) for _ in range(4)]
+    before = d.allocator.stats.allocated_bytes
+    tape = Tape(device=d)
+    y = F.batch_norm2d(tape, x, params[0], params[1])
+    y = F.max_pool2d(tape, y, kernel=2, stride=2)         # [2, 4, 4, 4]
+    y = F.dropout(tape, y, 0.1)
+    F.layer_norm(tape, y, params[2], params[3])
+    tape.release()
+    assert d.allocator.stats.allocated_bytes == before
+

@@ -106,7 +106,7 @@ def test_accesses_deduplicate_blocks_across_operands():
     engine, manager, device = make()
     t = device.empty((1024,))
     k = launch([t, t, t])
-    accesses = manager._build_accesses(k, device)
+    accesses = manager._access_plan(k)
     indices = [a.block.index for a in accesses]
     assert len(indices) == len(set(indices))
 
@@ -115,7 +115,7 @@ def test_sparse_subset_respects_coverage():
     engine, manager, device = make()
     table = device.empty((16 * UM_BLOCK_SIZE // 4,), persistent=True)
     k = launch([table], sparse=SparseAccess(tensor_index=0, coverage=0.25))
-    accesses = manager._build_accesses(k, device)
+    accesses = manager._access_plan(k).draw(device.rng)
     full = len(manager._decompose(table.addr, table.nbytes))
     assert len(accesses) == max(1, int(full * 0.25))
 
@@ -124,8 +124,10 @@ def test_sparse_subset_order_varies_with_rng():
     engine, manager, device = make()
     table = device.empty((32 * UM_BLOCK_SIZE // 4,), persistent=True)
     k = launch([table], sparse=SparseAccess(tensor_index=0, coverage=0.5))
-    first = [a.block.index for a in manager._build_accesses(k, device)]
-    second = [a.block.index for a in manager._build_accesses(k, device)]
+    plan = manager._access_plan(k)
+    assert manager._access_plan(k) is plan  # one plan, a fresh draw each
+    first = [a.block.index for a in plan.draw(device.rng)]
+    second = [a.block.index for a in plan.draw(device.rng)]
     assert set(first) != set(second) or first != second
 
 
