@@ -8,7 +8,7 @@ magnitude larger batches on several models.
 
 from __future__ import annotations
 
-from repro.harness import calibrate_system, max_batch_search
+from repro.harness import calibrate_system, max_batch_outcome
 from repro.harness.paperdata import TABLE3_MAX_BATCH
 from repro.harness.report import format_table
 from repro.models.registry import get_model_config
@@ -26,10 +26,11 @@ def _search_all():
         cfg = get_model_config(model)
         system = calibrate_system(model)
         start = cfg.fig9_batches[0]
-        lms_max = max_batch_search(model, "lms", system, scale=cfg.sim_scale,
-                                   start_batch=start)
-        deepum_max = max_batch_search(model, "deepum", system,
-                                      scale=cfg.sim_scale, start_batch=start)
+        lms_max = max_batch_outcome(model, "lms", system, scale=cfg.sim_scale,
+                                    start_batch=start).max_batch
+        deepum_max = max_batch_outcome(model, "deepum", system,
+                                       scale=cfg.sim_scale,
+                                       start_batch=start).max_batch
         paper = TABLE3_MAX_BATCH.get(model, {})
         rows.append([model, lms_max, deepum_max,
                      paper.get("lms"), paper.get("deepum")])

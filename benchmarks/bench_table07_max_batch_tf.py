@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.config import HostSpec
-from repro.harness import calibrate_system, max_batch_search
+from repro.harness import calibrate_system, max_batch_outcome
 from repro.harness.paperdata import TABLE7_MAX_BATCH
 from repro.harness.report import format_table
 from repro.models.registry import get_model_config
@@ -31,10 +31,10 @@ def _search_all():
         )
         start = cfg.fig9_batches[0]
         for policy in SYSTEMS:
-            rows[(model, policy)] = max_batch_search(
+            rows[(model, policy)] = max_batch_outcome(
                 model, policy, system, scale=cfg.sim_scale,
                 start_batch=start,
-            )
+            ).max_batch
     return rows
 
 

@@ -9,10 +9,10 @@ deterministic simulator must reproduce them exactly, so any drift between
 repeats aborts the bench rather than silently reporting an unstable cell.
 
 One scenario cell is a self-contained unit (:func:`run_scenario_cell`
-takes and returns plain dicts), so ``run_scenario(..., workers=N)`` can
-fan cells out across the process-pool executor (:mod:`repro.exec`) — with
-a resumable journal — and still assemble a result document whose simulated
-metrics are bit-identical to a serial run.
+takes and returns plain dicts), so :func:`run_scenario` runs every cell
+through the process-pool executor (:mod:`repro.exec`) — across N workers
+with a resumable journal, or one at a time — and assembles a result
+document whose simulated metrics are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -211,122 +211,19 @@ def run_scenario_cell(payload: dict[str, Any]) -> dict[str, Any]:
     return cell
 
 
-def _cells_serial(
+def bench_document(
     scenario: Scenario,
+    results: dict[str, dict],
     *,
     repeats: int,
     warmup_runs: int,
-    collect_health: bool,
-    progress,
-    cache=None,
-) -> dict[str, dict]:
-    cells: dict[str, dict] = {}
-    for policy in scenario.policies:
-        cell_name = f"{scenario.model}@{scenario.paper_batch}/{policy}"
-        payload = cell_payload(
-            scenario,
-            policy,
-            repeats=repeats,
-            warmup_runs=warmup_runs,
-            collect_health=collect_health,
-        )
-        # Same key and entry shape as a worker-executed bench cell, so
-        # serial and parallel runs share one cache population.
-        key = None
-        doc = None
-        if cache is not None:
-            from ..exec.tasks import KIND_BENCH_CELL
+) -> dict:
+    """The schema result document for executor bench-cell ``results``.
 
-            key = cache.key(KIND_BENCH_CELL, payload)
-            doc = cache.get(key)
-        cached = ""
-        if doc is not None:
-            cells[cell_name] = doc["cell"]
-            cached = " (cached)"
-        else:
-            cells[cell_name] = run_scenario_cell(payload)
-            if cache is not None and key is not None:
-                cache.put(key, {"status": "ok", "cell": cells[cell_name]})
-        if progress is not None:
-            progress(
-                f"{cell_name}: {cells[cell_name]['wall_seconds']:.3f}s wall "
-                f"({repeats} repeats), "
-                f"sim {cells[cell_name]['sim']['elapsed']:.4f}s{cached}"
-            )
-    return cells
-
-
-def _cells_parallel(
-    scenario: Scenario,
-    *,
-    repeats: int,
-    warmup_runs: int,
-    collect_health: bool,
-    progress,
-    workers: int,
-    cell_timeout: Optional[float],
-    retries: int,
-    heartbeat_interval: float,
-    runs_dir: Optional[str],
-    run_id: Optional[str],
-    out: Optional[str],
-    cache=None,
-) -> dict[str, dict]:
-    from ..exec import (
-        DEFAULT_RUNS_DIR,
-        Executor,
-        ExecutorConfig,
-        RunJournal,
-        bench_cell_task,
-    )
-
-    tasks = []
-    for policy in scenario.policies:
-        key = f"{scenario.model}@{scenario.paper_batch}/{policy}"
-        tasks.append(
-            bench_cell_task(
-                cell_payload(
-                    scenario,
-                    policy,
-                    repeats=repeats,
-                    warmup_runs=warmup_runs,
-                    collect_health=collect_health,
-                ),
-                key,
-            )
-        )
-    config = ExecutorConfig(workers=workers, cell_timeout=cell_timeout,
-                            retries=retries,
-                            heartbeat_interval=heartbeat_interval)
-    journal = RunJournal.create(
-        tasks,
-        kind="bench",
-        meta={
-            "scenario": scenario.name,
-            "repeats": repeats,
-            "warmup_runs": warmup_runs,
-            "collect_health": collect_health,
-            "out": out,
-        },
-        executor=config.to_dict(),
-        runs_dir=runs_dir if runs_dir is not None else DEFAULT_RUNS_DIR,
-        run_id=run_id,
-    )
-    if progress is not None:
-        progress(
-            f"bench run {journal.run_id}: {len(tasks)} cells across "
-            f"{workers} workers (journal: {journal.root})"
-        )
-    executor = Executor(config, progress=progress, cache=cache)
-    results = executor.run_journal(journal)
-    return assemble_cells(results)
-
-
-def assemble_cells(results: dict[str, dict]) -> dict[str, dict]:
-    """Turn executor bench-cell results into the ``cells`` section.
-
-    Raises :class:`BenchRunError` if any cell did not finish ``ok`` — a
-    bench document must cover every pinned cell or it is not a benchmark.
+    :func:`run_scenario` and ``repro runs resume`` both build the BENCH
+    document here. Raises :class:`BenchRunError` if any cell did not
+    finish ``ok`` — a bench document must cover every pinned cell or it
+    is not a benchmark.
     """
     cells: dict[str, dict] = {}
     for key, doc in results.items():
@@ -336,7 +233,15 @@ def assemble_cells(results: dict[str, dict]) -> dict[str, dict]:
                 f"{doc.get('error', '')}"
             )
         cells[key] = doc["cell"]
-    return cells
+    cell_peaks = [cell.pop("peak_rss_bytes", 0) for cell in cells.values()]
+    return make_result(
+        scenario.name,
+        scenario.config_dict(),
+        repeats=repeats,
+        warmup_runs=warmup_runs,
+        cells=cells,
+        peak_rss_bytes=max([_peak_rss_bytes()] + cell_peaks),
+    )
 
 
 def run_scenario(
@@ -363,51 +268,84 @@ def run_scenario(
     metrics exactly — a recorder that perturbs simulation is a bug the
     bench refuses to measure around.
 
-    With ``workers > 1`` the cells run in parallel worker processes
-    through the executor, journaled under ``runs_dir`` so a killed bench
-    can be resumed (``repro runs resume``); the simulated metrics are
-    bit-identical to a serial run of the same scenario.
+    Cells always run through the executor (:mod:`repro.exec`), one
+    worker process per cell attempt, so ``cell_timeout`` and ``retries``
+    apply at any worker count. With ``workers > 1`` the cells run in
+    parallel and are journaled under ``runs_dir`` so a killed bench can
+    be resumed (``repro runs resume``); the simulated metrics are
+    bit-identical to a one-worker run of the same scenario.
 
     With ``cache`` (a :class:`repro.exec.ResultCache`) cells whose
     content-addressed key is already stored are replayed instead of
-    re-simulated — serial and parallel runs share the same keys, and a
+    re-simulated — runs at every worker count share the same keys, and a
     replayed cell is bit-for-bit identical to a fresh one (the recorded
     wall times are the original measurement's).
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if workers > 1:
-        cells = _cells_parallel(
-            scenario,
-            repeats=repeats,
-            warmup_runs=warmup_runs,
-            collect_health=collect_health,
-            progress=progress,
-            workers=workers,
-            cell_timeout=cell_timeout,
-            retries=retries,
-            heartbeat_interval=heartbeat_interval,
-            runs_dir=runs_dir,
-            run_id=run_id,
-            out=out,
-            cache=cache,
-        )
-    else:
-        cells = _cells_serial(
-            scenario,
-            repeats=repeats,
-            warmup_runs=warmup_runs,
-            collect_health=collect_health,
-            progress=progress,
-            cache=cache,
-        )
-    cell_peaks = [cell.pop("peak_rss_bytes", 0) for cell in cells.values()]
-    peak_rss = max([_peak_rss_bytes()] + cell_peaks)
-    return make_result(
-        scenario.name,
-        scenario.config_dict(),
-        repeats=repeats,
-        warmup_runs=warmup_runs,
-        cells=cells,
-        peak_rss_bytes=peak_rss,
+    from ..exec import (
+        DEFAULT_RUNS_DIR,
+        Executor,
+        ExecutorConfig,
+        RunJournal,
+        bench_cell_task,
     )
+
+    tasks = [
+        bench_cell_task(
+            cell_payload(
+                scenario,
+                policy,
+                repeats=repeats,
+                warmup_runs=warmup_runs,
+                collect_health=collect_health,
+            ),
+            cell,
+        )
+        for policy, cell in zip(scenario.policies, scenario.cells)
+    ]
+    config = ExecutorConfig(
+        workers=workers,
+        cell_timeout=cell_timeout,
+        retries=retries,
+        heartbeat_interval=heartbeat_interval,
+    )
+    executor = Executor(config, progress=progress, cache=cache)
+    journal: Optional[RunJournal] = None
+    if workers > 1:
+        journal = RunJournal.create(
+            tasks,
+            kind="bench",
+            meta={
+                "scenario": scenario.name,
+                "repeats": repeats,
+                "warmup_runs": warmup_runs,
+                "collect_health": collect_health,
+                "out": out,
+            },
+            executor=config.to_dict(),
+            runs_dir=runs_dir if runs_dir is not None else DEFAULT_RUNS_DIR,
+            run_id=run_id,
+        )
+        if progress is not None:
+            progress(
+                f"bench run {journal.run_id}: {len(tasks)} cells across "
+                f"{workers} workers (journal: {journal.root})"
+            )
+        results = executor.run_journal(journal)
+    else:
+        results = executor.run_tasks(tasks)
+    try:
+        return bench_document(
+            scenario,
+            results,
+            repeats=repeats,
+            warmup_runs=warmup_runs,
+        )
+    except BenchRunError as exc:
+        if journal is None:
+            raise
+        raise BenchRunError(
+            f"{exc} (the journal {journal.root} is kept; see "
+            f"`repro runs list` / `repro runs resume`)"
+        ) from None

@@ -17,17 +17,20 @@ Examples::
     python -m repro cache verify --sample 2
     python -m repro trace timeline bert-large --out timeline.json
 
-Every experiment-running subcommand builds :class:`repro.api.RunRequest`
-objects and executes them through :func:`repro.api.execute` — in-process
-when ``--workers 1`` (the default), or through the fault-tolerant
-process-pool executor (:mod:`repro.exec`) with a resumable journal under
-``--runs-dir`` otherwise. Simulated metrics are identical either way.
+Every cell-running subcommand builds its cells once as executor tasks
+(:class:`repro.api.RunRequest` payloads, or bench/tournament cell
+payloads) and runs them through the fault-tolerant process-pool executor
+(:mod:`repro.exec`) at any ``--workers`` count, so ``--cell-timeout``,
+``--retries`` and the result cache mean the same thing everywhere. Runs
+across several workers (and every tournament) are journaled under
+``--runs-dir`` for ``repro runs resume``. Each journal kind renders
+through one finalizer (:data:`FINALIZERS`), shared by the command and by
+resume. Simulated metrics are identical at every worker count.
 
-Bench runs, journaled sweeps, tournaments and max-batch probes also
-consult the content-addressed result cache (:mod:`repro.exec.cache`,
-default ``.repro-cache/``): cells whose inputs have not changed replay
-their stored results bit-for-bit instead of re-simulating. ``--no-cache``
-opts out; ``repro cache stats|gc|verify`` manages and audits the store.
+The content-addressed result cache (:mod:`repro.exec.cache`, default
+``.repro-cache/``) replays cells whose inputs have not changed
+bit-for-bit instead of re-simulating them. ``--no-cache`` opts out;
+``repro cache stats|gc|verify`` manages and audits the store.
 """
 
 from __future__ import annotations
@@ -36,9 +39,10 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Optional, Sequence
+from dataclasses import replace
+from typing import Any, Callable, Sequence
 
-from .api import RunRequest, RunResult, execute
+from .api import REQUEST_KINDS, RunRequest, RunResult, execute
 from .config import DeepUMConfig
 from .constants import MiB
 from .harness import calibrate_system, max_batch_outcome
@@ -93,7 +97,7 @@ def _error_tail(error: str, limit: int = 60) -> str:
 
 
 # --------------------------------------------------------------------- #
-# the executor path shared by run / sweep-degree (and runs resume)
+# the executor path every cell-running command shares (and runs resume)
 # --------------------------------------------------------------------- #
 
 
@@ -127,28 +131,127 @@ def _print_cache_summary(cache) -> None:
         print(cache.summary_line())
 
 
-def _run_journaled(tasks, *, kind: str, meta: dict[str, Any],
-                   args: argparse.Namespace,
-                   recorder=None) -> dict[str, dict[str, Any]]:
-    """Create a journal for ``tasks`` and run it through the executor."""
-    from .exec import Executor, RunJournal
+def _with_requests(results: dict[str, dict[str, Any]],
+                   tasks) -> dict[str, dict[str, Any]]:
+    """Give every request cell's result document its request.
 
-    config = _executor_config(args)
-    cache = _cache_from_args(args)
-    journal = RunJournal.create(tasks, kind=kind, meta=meta,
-                                executor=config.to_dict(),
-                                runs_dir=args.runs_dir, run_id=args.run_id)
-    print(f"{kind} {journal.run_id}: {len(tasks)} cells across "
-          f"{config.workers} workers (journal: {journal.root})")
-    executor = Executor(config, progress=print, recorder=recorder,
-                        cache=cache)
-    results = executor.run_journal(journal)
-    _print_cache_summary(cache)
+    A cell that died before reporting (a crash, a timeout) comes back
+    without one; its task payload is the same canonical request, so the
+    table row can still name the cell.
+    """
+    for task in tasks:
+        doc = results.get(task.key)
+        if doc is not None and task.kind in REQUEST_KINDS:
+            doc.setdefault("request", task.payload)
     return results
 
 
-def _render_run_results(results: dict[str, dict[str, Any]]) -> int:
-    """The ``repro run`` policy table, from executor result documents."""
+#: Run kinds journaled even at one worker; the others journal only runs
+#: across several workers.
+_ALWAYS_JOURNALED = frozenset({"tournament"})
+
+
+def _run_and_finalize(tasks, *, kind: str, meta: dict[str, Any],
+                      args: argparse.Namespace) -> int:
+    """Run a command's cells through the executor, at any worker count,
+    then render them through the kind's finalizer.
+
+    Under ``--obs`` the recorder captures the executor's own wall-clock
+    timeline (cell spans and instants on the ``exec`` track).
+    """
+    from .exec import Executor, RunJournal
+
+    recorder = None
+    obs = getattr(args, "obs", None)
+    if obs:
+        from .obs import SpanRecorder
+
+        recorder = SpanRecorder()
+    config = _executor_config(args)
+    cache = _cache_from_args(args)
+    executor = Executor(config, progress=print, recorder=recorder,
+                        cache=cache)
+    if config.workers > 1 or kind in _ALWAYS_JOURNALED:
+        journal = RunJournal.create(tasks, kind=kind, meta=meta,
+                                    executor=config.to_dict(),
+                                    runs_dir=args.runs_dir,
+                                    run_id=args.run_id)
+        print(f"{kind} {journal.run_id}: {len(tasks)} cells across "
+              f"{config.workers} workers (journal: {journal.root})")
+        results = executor.run_journal(journal)
+    else:
+        results = executor.run_tasks(tasks)
+    _print_cache_summary(cache)
+    if recorder is not None:
+        from .obs import write_chrome_trace
+
+        write_chrome_trace(recorder, obs)
+        print(f"executor timeline: {obs}")
+    return FINALIZERS[kind](_with_requests(results, tasks), meta)
+
+
+def _run_requests(requests: list[RunRequest], *, kind: str,
+                  meta: dict[str, Any], args: argparse.Namespace) -> int:
+    """Run one request per policy (``repro run`` / ``repro serve``)."""
+    if args.obs and args.workers == 1:
+        return _run_recorded(requests, kind=kind, meta=meta, args=args)
+    from .exec import request_task
+
+    return _run_and_finalize([request_task(req) for req in requests],
+                             kind=kind, meta=meta, args=args)
+
+
+def _run_recorded(requests: list[RunRequest], *, kind: str,
+                  meta: dict[str, Any], args: argparse.Namespace) -> int:
+    """``--obs`` at one worker: record each cell's simulated timeline.
+
+    A :class:`~repro.obs.SpanRecorder` cannot cross a process boundary,
+    so these cells run in this process; their result documents render
+    through the same finalizer as executor results.
+    """
+    from .obs import SpanRecorder, write_chrome_trace
+
+    results: dict[str, dict[str, Any]] = {}
+    breakdowns = []
+    for req in requests:
+        recorder = SpanRecorder()
+        try:
+            res = execute(replace(req, recorder=recorder))
+        except TypeError:
+            # Tensor-swap facades have no UM engine to instrument; run
+            # the cell without a timeline rather than failing.
+            print(f"{req.policy}: no obs (tensor-swap)")
+            res = execute(req)
+        else:
+            path = _obs_path(args.obs, req.policy, len(requests) > 1)
+            write_chrome_trace(recorder, path)
+            print(f"{req.policy}: trace: {path}")
+            breakdowns.append((req.policy, recorder))
+        results[res.request.cell_key] = res.to_dict()
+    exit_code = FINALIZERS[kind](results, meta)
+    for policy, recorder in breakdowns:
+        print()
+        print(phase_breakdown_table(
+            recorder, args.top,
+            title=f"{policy}: per-kernel phase breakdown (worst stalls first)"))
+    return exit_code
+
+
+# --------------------------------------------------------------------- #
+# per-kind finalizers: result documents + journal meta -> output, exit code
+# --------------------------------------------------------------------- #
+
+
+def _failed_note(res: RunResult) -> str:
+    """The note column of a policy row whose cell did not finish ok."""
+    if res.status == "oom":
+        return _error_tail(res.error, 40) or "OOM"
+    return f"{res.status}: {_error_tail(res.error, 40)}"
+
+
+def _finalize_run(results: dict[str, dict[str, Any]],
+                  meta: dict[str, Any]) -> int:
+    """The ``repro run`` policy table."""
     rows = []
     bad = 0
     parsed = [RunResult.from_dict(doc) for doc in results.values()]
@@ -159,14 +262,9 @@ def _render_run_results(results: dict[str, dict[str, Any]]) -> int:
          if r.request.policy == "um" and r.ok), None)
     for res in parsed:
         policy = res.request.policy
-        if res.status == "oom":
-            rows.append([policy, None, None, None,
-                         _error_tail(res.error, 40) or "OOM"])
-            continue
         if not res.ok:
-            bad += 1
-            rows.append([policy, None, None, None,
-                         f"{res.status}: {_error_tail(res.error, 40)}"])
+            bad += res.status != "oom"
+            rows.append([policy, None, None, None, _failed_note(res)])
             continue
         sec = res.seconds_per_100_iterations
         rows.append([policy, sec,
@@ -178,9 +276,9 @@ def _render_run_results(results: dict[str, dict[str, Any]]) -> int:
     return 1 if bad else 0
 
 
-def _render_sweep_results(results: dict[str, dict[str, Any]],
-                          title: str = "prefetch degree sweep") -> int:
-    """The ``repro sweep-degree`` table, from executor result documents."""
+def _finalize_sweep(results: dict[str, dict[str, Any]],
+                    meta: dict[str, Any]) -> int:
+    """The ``repro sweep-degree`` table."""
     rows = []
     bad = 0
     for doc in results.values():
@@ -197,9 +295,104 @@ def _render_sweep_results(results: dict[str, dict[str, Any]],
     # Journal reload alphabetizes cell keys; the sweep reads best smallest
     # degree first.
     rows.sort(key=lambda row: row[0])
-    print(format_table(["N", "s/100 iters", "faults/iter", "note"], rows,
-                       title=title))
+    print(format_table(
+        ["N", "s/100 iters", "faults/iter", "note"], rows,
+        title=f"{meta.get('model', '?')}: prefetch degree sweep"))
     return 1 if bad else 0
+
+
+def _finalize_serve(results: dict[str, dict[str, Any]],
+                    meta: dict[str, Any]) -> int:
+    """The ``repro serve`` latency table (and its ``--out`` snapshots)."""
+    rows = []
+    bad = 0
+    artifact: dict[str, Any] = {}
+    for doc in results.values():
+        res = RunResult.from_dict(doc)
+        policy = res.request.policy
+        if not res.ok:
+            bad += res.status != "oom"
+            rows.append([policy, None, None, None, None, None,
+                         _failed_note(res)])
+            continue
+        snap = res.snapshot or {}
+        lat = snap.get("latency_ms", {})
+        artifact[policy] = snap
+        rows.append([
+            policy, lat.get("p50"), lat.get("p95"), lat.get("p99"),
+            f"{snap.get('slo_violations', '?')}/{snap.get('requests', '?')}",
+            snap.get("throughput_rps"),
+            "hints" if snap.get("hints") else "no hints",
+        ])
+    print(format_table(
+        ["policy", "p50 ms", "p95 ms", "p99 ms", "SLO viol", "req/s",
+         "note"],
+        rows))
+    out = meta.get("out")
+    if out and artifact:
+        with open(out, "w", encoding="utf-8") as fh:
+            json.dump(artifact, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"latency percentiles: {out}")
+    return 1 if bad else 0
+
+
+def _finalize_tournament(results: dict[str, dict[str, Any]],
+                         meta: dict[str, Any]) -> int:
+    """The tournament ranking tables (and its ``--out`` document)."""
+    from .harness.tournament import format_tournament, rank_tournament
+
+    doc = rank_tournament(results)
+    out = meta.get("out")
+    if out:
+        with open(out, "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    print(format_tournament(
+        doc, title=f"tournament {meta.get('scenario', '?')}"))
+    if out:
+        print(f"\nwrote {out}")
+    bad = sum(1 for cell in doc["cells"] if cell.get("status") != "ok")
+    return 1 if bad else 0
+
+
+def _write_bench(doc: dict[str, Any], out: str) -> int:
+    from .bench import write_result
+
+    write_result(doc, out)
+    print(f"wrote {out}")
+    return 0
+
+
+def _finalize_bench(results: dict[str, dict[str, Any]],
+                    meta: dict[str, Any]) -> int:
+    """The BENCH document, built as :func:`repro.bench.run_scenario` does."""
+    from .bench import SCENARIOS
+    from .bench.runner import BenchRunError, bench_document
+
+    scenario = SCENARIOS.get(str(meta.get("scenario")))
+    if scenario is None:
+        raise SystemExit(f"cannot finalize: unknown bench scenario "
+                         f"{meta.get('scenario')!r} in the journal")
+    try:
+        doc = bench_document(scenario, results,
+                             repeats=int(meta.get("repeats", 1)),
+                             warmup_runs=int(meta.get("warmup_runs", 0)))
+    except BenchRunError as exc:
+        raise SystemExit(f"bench: {exc}")
+    return _write_bench(doc, meta.get("out") or f"BENCH_{scenario.name}.json")
+
+
+#: Journal kind -> finalizer. Each command renders its results here, and
+#: ``repro runs resume`` rebuilds the same output from a journal.
+FINALIZERS: dict[str, Callable[[dict[str, dict[str, Any]], dict[str, Any]],
+                               int]] = {
+    "run": _finalize_run,
+    "serve": _finalize_serve,
+    "sweep-degree": _finalize_sweep,
+    "tournament": _finalize_tournament,
+    "bench": _finalize_bench,
+}
 
 
 def _render_status_rows(journal) -> None:
@@ -236,130 +429,21 @@ def cmd_run(args: argparse.Namespace) -> int:
     policies = _parse_policies(args.policies)
     if args.obs:
         _require_writable_dir(args.obs, "--obs")
-
-    def request(policy: str, recorder=None) -> RunRequest:
-        return RunRequest(
+    requests = [
+        RunRequest(
             model=args.model, policy=policy, batch=batch, scale=scale,
             warmup_iterations=args.warmup, measure_iterations=args.measure,
             seed=seed,
             deepum_config=deepum_cfg if policy_accepts_config(policy)
             else None,
-            system=system, recorder=recorder,
+            system=system,
         )
-
-    if args.workers > 1:
-        from .exec import experiment_task
-
-        recorder = None
-        if args.obs:
-            # Per-policy sim timelines need in-process recorders; across
-            # workers, --obs records the *executor* timeline instead
-            # (cell spans/instants on the wall-clock "exec" track).
-            from .obs import SpanRecorder
-
-            recorder = SpanRecorder()
-        tasks = [experiment_task(request(policy)) for policy in policies]
-        results = _run_journaled(
-            tasks, kind="run", args=args, recorder=recorder,
-            meta={"model": args.model, "batch": batch, "scale": scale,
-                  "policies": list(policies)},
-        )
-        if recorder is not None:
-            from .obs import write_chrome_trace
-
-            write_chrome_trace(recorder, args.obs)
-            print(f"executor timeline: {args.obs}")
-        return _render_run_results(results)
-
-    rows = []
-    um_sec = None
-    breakdowns = []
-    exit_code = 0
-    for policy in policies:
-        recorder = None
-        note = ""
-        if args.obs:
-            from .obs import SpanRecorder
-
-            recorder = SpanRecorder()
-        try:
-            result = execute(request(policy, recorder=recorder))
-        except TypeError:
-            # Tensor-swap facades have no UM engine to instrument; run
-            # the policy without a timeline rather than failing.
-            recorder = None
-            note = "no obs (tensor-swap)"
-            result = execute(request(policy))
-        if recorder is not None:
-            from .obs import write_chrome_trace
-
-            path = _obs_path(args.obs, policy, len(policies) > 1)
-            write_chrome_trace(recorder, path)
-            note = f"trace: {path}"
-            breakdowns.append((policy, recorder))
-        if result.status == "oom":
-            rows.append([policy, None, None, None,
-                         _error_tail(result.error, 40) or "OOM"])
-            continue
-        if not result.ok:
-            exit_code = 1
-            rows.append([policy, None, None, None,
-                         f"{result.status}: {_error_tail(result.error, 40)}"])
-            continue
-        sec = result.seconds_per_100_iterations
-        if policy == "um":
-            um_sec = sec
-        rows.append([policy, sec,
-                     (um_sec / sec) if um_sec and sec else None,
-                     result.faults_per_iteration, note])
-    print(format_table(
-        ["policy", "s/100 iters", "speedup vs UM", "faults/iter", "note"],
-        rows))
-    for policy, recorder in breakdowns:
-        print()
-        print(phase_breakdown_table(
-            recorder, args.top,
-            title=f"{policy}: per-kernel phase breakdown (worst stalls first)"))
-    return exit_code
-
-
-def _render_serve_results(results: dict[str, dict[str, Any]],
-                          out: Optional[str] = None) -> int:
-    """The ``repro serve`` latency table, from executor result documents."""
-    rows = []
-    bad = 0
-    artifact: dict[str, Any] = {}
-    for doc in results.values():
-        res = RunResult.from_dict(doc)
-        policy = res.request.policy
-        if res.status == "oom":
-            rows.append([policy, None, None, None, None, None,
-                         _error_tail(res.error, 40) or "OOM"])
-            continue
-        if not res.ok:
-            bad += 1
-            rows.append([policy, None, None, None, None, None,
-                         f"{res.status}: {_error_tail(res.error, 40)}"])
-            continue
-        snap = res.snapshot or {}
-        lat = snap.get("latency_ms", {})
-        artifact[policy] = snap
-        rows.append([
-            policy, lat.get("p50"), lat.get("p95"), lat.get("p99"),
-            f"{snap.get('slo_violations', '?')}/{snap.get('requests', '?')}",
-            snap.get("throughput_rps"),
-            "hints" if snap.get("hints") else "no hints",
-        ])
-    print(format_table(
-        ["policy", "p50 ms", "p95 ms", "p99 ms", "SLO viol", "req/s",
-         "note"],
-        rows))
-    if out and artifact:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(artifact, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"latency percentiles: {out}")
-    return 1 if bad else 0
+        for policy in policies
+    ]
+    return _run_requests(
+        requests, kind="run", args=args,
+        meta={"model": args.model, "batch": batch, "scale": scale,
+              "policies": list(policies)})
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -385,63 +469,25 @@ def cmd_serve(args: argparse.Namespace) -> int:
         _require_writable_dir(args.obs, "--obs")
     if args.out:
         _require_writable_dir(args.out, "--out")
-
-    def request(policy: str, recorder=None) -> RunRequest:
-        return RunRequest(
+    requests = [
+        RunRequest(
             model=scenario.model, policy=policy, batch=batch, scale=scale,
             warmup_iterations=args.warmup, measure_iterations=args.measure,
-            seed=seed, kind="serve", serve=spec, recorder=recorder,
-        )
-
-    system = request(policies[0]).resolved().system
+            seed=seed, kind="serve", serve=spec,
+        ).resolved()
+        for policy in policies
+    ]
+    system = requests[0].system
     assert system is not None
     print(f"serve {args.scenario}: {scenario.model} @ paper batch {batch}, "
           f"{spec.requests} {spec.arrivals} requests "
           f"(simulated GPU {system.gpu.memory_bytes // MiB} MB, "
           f"{scenario.oversubscription:g}x oversubscribed)")
-
-    if args.workers > 1:
-        from .exec import serve_task
-
-        recorder = None
-        if args.obs:
-            from .obs import SpanRecorder
-
-            recorder = SpanRecorder()
-        tasks = [serve_task(request(policy)) for policy in policies]
-        results = _run_journaled(
-            tasks, kind="serve", args=args, recorder=recorder,
-            meta={"scenario": args.scenario, "batch": batch, "scale": scale,
-                  "policies": list(policies), "serve": spec.to_dict(),
-                  "out": args.out},
-        )
-        if recorder is not None:
-            from .obs import write_chrome_trace
-
-            write_chrome_trace(recorder, args.obs)
-            print(f"executor timeline: {args.obs}")
-        return _render_serve_results(results, out=args.out)
-
-    results = {}
-    for policy in policies:
-        recorder = None
-        if args.obs:
-            from .obs import SpanRecorder
-
-            recorder = SpanRecorder()
-        try:
-            res = execute(request(policy, recorder=recorder))
-        except TypeError as exc:
-            # Non-UM family (tensor swap has no UM engine to serve on).
-            raise SystemExit(f"serve: {exc}")
-        if recorder is not None:
-            from .obs import write_chrome_trace
-
-            path = _obs_path(args.obs, policy, len(policies) > 1)
-            write_chrome_trace(recorder, path)
-            print(f"trace: {path}")
-        results[res.request.cell_key] = res.to_dict()
-    return _render_serve_results(results, out=args.out)
+    return _run_requests(
+        requests, kind="serve", args=args,
+        meta={"scenario": args.scenario, "batch": batch, "scale": scale,
+              "policies": list(policies), "serve": spec.to_dict(),
+              "out": args.out})
 
 
 def cmd_trace_timeline(args: argparse.Namespace) -> int:
@@ -495,6 +541,7 @@ def cmd_max_batch(args: argparse.Namespace) -> int:
     system = calibrate_system(args.model, scale=scale)
     start = args.batch if args.batch is not None else cfg.fig9_batches[0]
     iterations = args.warmup if args.warmup is not None else 2
+    config = _executor_config(args)
     cache = _cache_from_args(args)
     rows = []
     for policy in _parse_policies(args.policies):
@@ -502,10 +549,17 @@ def cmd_max_batch(args: argparse.Namespace) -> int:
             args.model, policy, system, scale=scale, start_batch=start,
             iterations=iterations,
             seed=args.seed if args.seed is not None else 0,
-            probe_workers=args.workers, cache=cache,
+            config=config, cache=cache,
         )
         if outcome.fits:
-            rows.append([policy, outcome.max_batch, len(outcome.probes), ""])
+            # The boundary is normally an OOM; say so when a probe's
+            # timeout or crash set it instead.
+            above = next((probe for probe in outcome.probes
+                          if probe[0] > outcome.max_batch), None)
+            note = (f"batch {above[0]}: {above[1]}"
+                    if above is not None and above[1] != "oom" else "")
+            rows.append([policy, outcome.max_batch, len(outcome.probes),
+                         note])
         else:
             # Never a bare "does not run": name the smallest batch that
             # was actually probed and why it failed.
@@ -520,41 +574,30 @@ def cmd_max_batch(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_degree(args: argparse.Namespace) -> int:
+    from .exec import request_task
+
     cfg = get_model_config(args.model)
     batch = args.batch if args.batch is not None else cfg.fig9_batches[0]
     scale = args.scale if args.scale is not None else cfg.sim_scale
     seed = args.seed if args.seed is not None else 0
     system = calibrate_system(args.model, scale=scale)
     degrees = [int(d) for d in args.degrees.split(",")]
-    title = f"{args.model}: prefetch degree sweep"
-
-    def request(degree: int) -> RunRequest:
-        return RunRequest(
-            model=args.model, policy="deepum", batch=batch, scale=scale,
-            warmup_iterations=args.warmup, measure_iterations=args.measure,
-            seed=seed, deepum_config=DeepUMConfig(prefetch_degree=degree),
-            system=system,
-        )
-
-    if args.workers > 1:
-        from .exec import experiment_task
-
-        tasks = [
-            experiment_task(request(degree),
-                            key=f"{args.model}@{batch}/deepum/N{degree}")
-            for degree in degrees
-        ]
-        results = _run_journaled(
-            tasks, kind="sweep-degree", args=args,
-            meta={"model": args.model, "batch": batch, "scale": scale,
-                  "degrees": degrees},
-        )
-        return _render_sweep_results(results, title=title)
-
-    results = {}
-    for degree in degrees:
-        results[f"N{degree}"] = execute(request(degree)).to_dict()
-    return _render_sweep_results(results, title=title)
+    tasks = [
+        request_task(
+            RunRequest(
+                model=args.model, policy="deepum", batch=batch, scale=scale,
+                warmup_iterations=args.warmup,
+                measure_iterations=args.measure, seed=seed,
+                deepum_config=DeepUMConfig(prefetch_degree=degree),
+                system=system,
+            ),
+            key=f"{args.model}@{batch}/deepum/N{degree}")
+        for degree in degrees
+    ]
+    return _run_and_finalize(
+        tasks, kind="sweep-degree", args=args,
+        meta={"model": args.model, "batch": batch, "scale": scale,
+              "degrees": degrees})
 
 
 def cmd_bench_list(args: argparse.Namespace) -> int:
@@ -573,7 +616,7 @@ def cmd_bench_list(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_run(args: argparse.Namespace) -> int:
-    from .bench import SCENARIOS, run_scenario, write_result
+    from .bench import SCENARIOS, run_scenario
     from .bench.runner import BenchRunError
 
     scenario = SCENARIOS.get(args.scenario)
@@ -594,14 +637,9 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
                            runs_dir=args.runs_dir,
                            run_id=args.run_id, out=out, cache=cache)
     except BenchRunError as exc:
-        hint = ("" if args.workers <= 1 else
-                " (the journal is kept; see `repro runs list` / "
-                "`repro runs resume`)")
-        raise SystemExit(f"bench run: {exc}{hint}")
+        raise SystemExit(f"bench run: {exc}")
     _print_cache_summary(cache)
-    write_result(doc, out)
-    print(f"wrote {out}")
-    return 0
+    return _write_bench(doc, out)
 
 
 def cmd_doctor(args: argparse.Namespace) -> int:
@@ -788,29 +826,11 @@ def cmd_tournament(args: argparse.Namespace) -> int:
     payloads = tournament_payloads(scenario, policies=policies)
     tasks = [tournament_cell_task(payload, key)
              for key, payload in payloads.items()]
-    results = _run_journaled(
+    return _run_and_finalize(
         tasks, kind="tournament", args=args,
         meta={"scenario": scenario.name,
               "policies": policies or list(scenario.policies),
-              "out": args.out},
-    )
-    return _render_tournament_results(results, scenario.name, args.out)
-
-
-def _render_tournament_results(results: dict[str, dict[str, Any]],
-                               title: str, out: Optional[str]) -> int:
-    from .harness.tournament import format_tournament, rank_tournament
-
-    doc = rank_tournament(results)
-    if out:
-        with open(out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    print(format_tournament(doc, title=f"tournament {title}"))
-    if out:
-        print(f"\nwrote {out}")
-    bad = sum(1 for cell in doc["cells"] if cell.get("status") != "ok")
-    return 1 if bad else 0
+              "out": args.out})
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -1060,61 +1080,6 @@ def cmd_runs_watch(args: argparse.Namespace) -> int:
         time.sleep(args.interval)
 
 
-def _finalize_resumed(journal, results: dict[str, dict[str, Any]],
-                      args: argparse.Namespace) -> int:
-    """Rebuild each run kind's normal output from the journaled results."""
-    kind = journal.kind
-    if kind == "run":
-        return _render_run_results(results)
-    if kind == "serve":
-        return _render_serve_results(results,
-                                     out=journal.meta.get("out"))
-    if kind == "sweep-degree":
-        meta = journal.meta
-        return _render_sweep_results(
-            results,
-            title=f"{meta.get('model', '?')}: prefetch degree sweep")
-    if kind == "tournament":
-        return _render_tournament_results(
-            results, str(journal.meta.get("scenario", "?")),
-            journal.meta.get("out"))
-    if kind == "bench":
-        from .bench import SCENARIOS, write_result
-        from .bench.runner import (
-            BenchRunError,
-            _peak_rss_bytes,
-            assemble_cells,
-        )
-        from .bench.schema import make_result
-
-        meta = journal.meta
-        scenario = SCENARIOS.get(str(meta.get("scenario")))
-        if scenario is None:
-            print(f"cannot finalize: unknown scenario "
-                  f"{meta.get('scenario')!r} in the journal")
-            _render_status_rows(journal)
-            return 1
-        try:
-            cells = assemble_cells(results)
-        except BenchRunError as exc:
-            raise SystemExit(f"runs resume: {exc}")
-        peak = max([_peak_rss_bytes()]
-                   + [cell.pop("peak_rss_bytes", 0)
-                      for cell in cells.values()])
-        doc = make_result(scenario.name, scenario.config_dict(),
-                          repeats=int(meta.get("repeats", 1)),
-                          warmup_runs=int(meta.get("warmup_runs", 0)),
-                          cells=cells, peak_rss_bytes=peak)
-        out = meta.get("out") or f"BENCH_{scenario.name}.json"
-        write_result(doc, out)
-        print(f"wrote {out}")
-        return 0
-    _render_status_rows(journal)
-    bad = sum(1 for doc in results.values()
-              if doc.get("status") in ("failed", "timeout"))
-    return 1 if bad else 0
-
-
 def cmd_runs_resume(args: argparse.Namespace) -> int:
     from .exec import Executor, ExecutorConfig
 
@@ -1146,7 +1111,14 @@ def cmd_runs_resume(args: argparse.Namespace) -> int:
     else:
         print(f"{journal.kind} {journal.run_id}: all cells already finished")
         results = journal.results()
-    return _finalize_resumed(journal, results, args)
+    finalize = FINALIZERS.get(journal.kind)
+    if finalize is None:
+        _render_status_rows(journal)
+        bad = sum(1 for doc in results.values()
+                  if doc.get("status") in ("failed", "timeout"))
+        return 1 if bad else 0
+    tasks = [journal.task(key) for key in journal.keys()]
+    return finalize(_with_requests(results, tasks), journal.meta)
 
 
 # --------------------------------------------------------------------- #
@@ -1206,20 +1178,23 @@ def _obs_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--obs", default=None, metavar="PATH",
                         help="record a timeline and write Perfetto JSON "
-                             "here (per-policy sim timelines when "
-                             "--workers 1, the executor wall-clock "
-                             "timeline otherwise)")
+                             "here: at --workers 1 the cells run in this "
+                             "process and each writes its simulated "
+                             "timeline; across several workers, the "
+                             "executor's wall-clock timeline")
     parent.add_argument("--top", type=int, default=10,
                         help="kernels shown in the --obs phase breakdown")
     return parent
 
 
 def _exec_parent() -> argparse.ArgumentParser:
-    """Executor knobs shared by run / max-batch / sweep-degree / bench run."""
+    """Executor knobs shared by every cell-running command."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--workers", type=int, default=1,
-                        help="worker processes (1 = in-process serial; "
-                             ">1 journals the run for `repro runs resume`)")
+                        help="worker processes running cells concurrently; "
+                             "every cell runs in its own process at any "
+                             "count (>1 also journals the run for "
+                             "`repro runs resume`)")
     parent.add_argument("--cell-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="per-cell wall-clock timeout")

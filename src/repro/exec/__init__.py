@@ -55,8 +55,7 @@ from .tasks import (
     Task,
     bench_cell_task,
     execute_task,
-    experiment_task,
-    serve_task,
+    request_task,
     tournament_cell_task,
 )
 from .telemetry import (
@@ -107,8 +106,7 @@ __all__ = [
     "write_heartbeat",
     "bench_cell_task",
     "execute_task",
-    "experiment_task",
-    "serve_task",
+    "request_task",
     "tournament_cell_task",
     "list_runs",
     "new_run_id",

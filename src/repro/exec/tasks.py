@@ -22,10 +22,10 @@ import time
 from dataclasses import dataclass
 from typing import Any, Optional
 
-KIND_EXPERIMENT = "experiment"
+from ..api import KIND_EXPERIMENT, KIND_SERVE
+
 KIND_BENCH_CELL = "bench-cell"
 KIND_TOURNAMENT_CELL = "tournament-cell"
-KIND_SERVE = "serve"
 
 TASK_KINDS = (KIND_EXPERIMENT, KIND_BENCH_CELL, KIND_TOURNAMENT_CELL,
               KIND_SERVE)
@@ -50,36 +50,18 @@ class Task:
             raise ValueError("task key must be non-empty")
 
 
-def experiment_task(request: Any, key: Optional[str] = None) -> Task:
+def request_task(request: Any, key: Optional[str] = None) -> Task:
     """Build an executor task from a :class:`repro.api.RunRequest`.
 
     The request is resolved first (batch/scale/system pinned) so every
     worker — and every resume — executes exactly the same cell, and so
-    the payload is the canonical form the result cache keys on.
+    the payload is the canonical form the result cache keys on. The task
+    kind is the request's own kind (``experiment`` or ``serve``).
     """
     resolved = request.resolved()
     return Task(
         key=key if key is not None else resolved.cell_key,
-        kind=KIND_EXPERIMENT,
-        payload=resolved.canonical_payload(),
-    )
-
-
-def serve_task(request: Any, key: Optional[str] = None) -> Task:
-    """Build an executor task from a ``kind="serve"`` run request.
-
-    Same canonicalization contract as :func:`experiment_task` — the
-    resolved payload is what the journal records and the result cache
-    keys on — but dispatched to the serve session loop.
-    """
-    resolved = request.resolved()
-    if getattr(resolved, "kind", None) != KIND_SERVE:
-        raise ValueError(
-            f"serve_task needs a kind='serve' request, got "
-            f"{getattr(resolved, 'kind', None)!r}")
-    return Task(
-        key=key if key is not None else resolved.cell_key,
-        kind=KIND_SERVE,
+        kind=resolved.kind,
         payload=resolved.canonical_payload(),
     )
 
@@ -143,15 +125,10 @@ def execute_task(kind: str, payload: dict[str, Any],
     """
     from .telemetry import TELEMETRY
 
-    if kind == KIND_EXPERIMENT:
+    if kind in (KIND_EXPERIMENT, KIND_SERVE):
         from ..api import RunRequest, execute
 
-        TELEMETRY.set_phase("run")
-        return execute(RunRequest.from_dict(payload)).to_dict()
-    if kind == KIND_SERVE:
-        from ..api import RunRequest, execute
-
-        TELEMETRY.set_phase("serve")
+        TELEMETRY.set_phase("serve" if kind == KIND_SERVE else "run")
         return execute(RunRequest.from_dict(payload)).to_dict()
     if kind == KIND_BENCH_CELL:
         from ..bench.runner import run_scenario_cell

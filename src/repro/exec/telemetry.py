@@ -135,8 +135,9 @@ class Telemetry:
         }
 
 
-#: The one telemetry object per process. Workers reset it on entry; the
-#: serial (in-process) bench path resets its phase accounting per cell.
+#: The one telemetry object per process. Workers reset it on entry; a
+#: bench cell also resets it itself, so an in-process re-execution
+#: (``repro cache verify``) starts its phase accounting clean.
 TELEMETRY = Telemetry()
 
 

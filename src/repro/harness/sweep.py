@@ -1,25 +1,29 @@
 """Parameter sweeps: maximum-batch search (Tables 3 and 7).
 
 Probes are warm-up-only cells (``RunRequest(measure_iterations=0)``) run
-through :func:`repro.api.execute`, so a probe reports *why* it failed, not
-just that it did. :func:`max_batch_outcome` returns the full structured
-result — including the smallest probed batch and its failure cause when
-nothing fits — and :func:`max_batch_search` stays as the integer-returning
-compatibility wrapper.
+through the process-pool executor (:mod:`repro.exec`), so a probe reports
+*why* it failed, not just that it did, and a probe that hangs or crashes
+ends as a ``timeout``/``failed`` outcome instead of taking the search
+down. :func:`max_batch_outcome` returns the full structured result —
+including the smallest probed batch and its failure cause when nothing
+fits.
 
-With ``probe_workers > 1`` the doubling phase probes several upcoming
-batch sizes speculatively through the process-pool executor
-(:mod:`repro.exec`); because a probe's outcome is a deterministic function
-of its request, the parallel search lands on exactly the serial answer.
+With several executor workers the doubling phase probes several upcoming
+batch sizes speculatively; because a probe's outcome is a deterministic
+function of its request, the parallel search lands on exactly the
+one-worker answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..config import DeepUMConfig, SystemConfig
 from ..models.registry import get_model_config
+
+if TYPE_CHECKING:  # the executor (and multiprocessing) load lazily
+    from ..exec import Executor, ExecutorConfig, ResultCache
 
 
 @dataclass(frozen=True)
@@ -51,12 +55,12 @@ class MaxBatchOutcome:
 
 
 class _Prober:
-    """Runs fit probes, recording every outcome for the final report."""
+    """Runs fit probes through the executor, recording every outcome."""
 
     def __init__(self, model: str, policy: str, system: SystemConfig, *,
                  scale: float, iterations: int,
-                 deepum_config: Optional[DeepUMConfig], seed: int = 0,
-                 cache=None):
+                 deepum_config: Optional[DeepUMConfig], seed: int,
+                 executor: Executor):
         self.model = model
         self.policy = policy
         self.system = system
@@ -64,10 +68,9 @@ class _Prober:
         self.iterations = iterations
         self.deepum_config = deepum_config
         self.seed = seed
-        #: Optional content-addressed result cache (repro.exec.cache);
-        #: probes are experiment cells with measure=0, so fit outcomes
-        #: memoize across sweeps exactly like measured cells.
-        self.cache = cache
+        #: Probes are experiment cells with measure=0, so with a result
+        #: cache attached fit outcomes memoize like measured cells.
+        self.executor = executor
         #: batch -> (status, error) for every probe ever run.
         self.outcomes: dict[int, tuple[str, str]] = {}
 
@@ -81,55 +84,25 @@ class _Prober:
             deepum_config=self.deepum_config, system=self.system,
         )
 
-    def record(self, batch: int, status: str, error: str) -> bool:
-        self.outcomes[batch] = (status, error)
-        from ..api import STATUS_OK
-
-        return status == STATUS_OK
-
     def __call__(self, batch: int) -> bool:
         """True if ``batch`` completes the probe iterations without OOM."""
-        cached = self.outcomes.get(batch)
-        if cached is not None:
-            from ..api import STATUS_OK
+        from ..api import STATUS_OK
 
-            return cached[0] == STATUS_OK
-        from ..api import execute
+        self.probe_many([batch])
+        return self.outcomes[batch][0] == STATUS_OK
 
-        key = None
-        if self.cache is not None:
-            from ..exec.tasks import KIND_EXPERIMENT
+    def probe_many(self, batches: list[int]) -> None:
+        """Probe the not-yet-probed ``batches`` through the executor."""
+        from ..exec import request_task
 
-            key = self.cache.key(
-                KIND_EXPERIMENT, self.request(batch).canonical_payload())
-            doc = self.cache.get(key)
-            if doc is not None:
-                return self.record(batch, doc["status"],
-                                   doc.get("error", ""))
-        result = execute(self.request(batch))
-        if self.cache is not None and key is not None:
-            self.cache.put(key, result.to_dict())
-        return self.record(batch, result.status, result.error)
-
-    def probe_many(self, batches: list[int], workers: int) -> None:
-        """Probe several batches concurrently through the executor."""
         todo = [b for b in batches if b not in self.outcomes]
         if not todo:
             return
-        if workers <= 1 or len(todo) == 1:
-            for b in todo:
-                self(b)
-            return
-        from ..exec import Executor, ExecutorConfig, experiment_task
-
-        tasks = [experiment_task(self.request(b), key=f"probe-{b}")
-                 for b in todo]
-        executor = Executor(ExecutorConfig(workers=min(workers, len(todo))),
-                            cache=self.cache)
-        results = executor.run_tasks(tasks)
+        results = self.executor.run_tasks(
+            [request_task(self.request(b), key=f"probe-{b}") for b in todo])
         for b in todo:
             doc = results[f"probe-{b}"]
-            self.record(b, doc["status"], doc.get("error", ""))
+            self.outcomes[b] = (doc["status"], doc.get("error", ""))
 
     def outcome(self, model_step: int, best: int) -> MaxBatchOutcome:
         probes = tuple(sorted(
@@ -145,20 +118,6 @@ class _Prober:
         )
 
 
-def _runs(model: str, paper_batch: int, policy: str, system: SystemConfig,
-          *, scale: float, iterations: int,
-          deepum_config: Optional[DeepUMConfig]) -> bool:
-    """True if the configuration completes ``iterations`` without OOM."""
-    from ..api import RunRequest, execute
-
-    result = execute(RunRequest(
-        model=model, policy=policy, batch=paper_batch, scale=scale,
-        warmup_iterations=iterations, measure_iterations=0,
-        deepum_config=deepum_config, system=system,
-    ))
-    return result.ok
-
-
 def max_batch_outcome(
     model: str,
     policy: str,
@@ -169,22 +128,27 @@ def max_batch_outcome(
     iterations: int = 2,
     deepum_config: Optional[DeepUMConfig] = None,
     seed: int = 0,
-    probe_workers: int = 1,
-    cache=None,
+    config: Optional[ExecutorConfig] = None,
+    cache: Optional[ResultCache] = None,
 ) -> MaxBatchOutcome:
     """Largest paper-scale batch that trains without OOM, with provenance.
 
     Doubles from a known-good starting point, then binary-searches the
-    boundary; batch granularity is the model's ``batch_divisor``. With
-    ``probe_workers > 1`` the doubling phase speculatively probes the next
-    few doublings in parallel worker processes; the boundary (and thus the
-    answer) is identical to the serial search.
+    boundary; batch granularity is the model's ``batch_divisor``. Every
+    probe runs through the executor under ``config`` (default: one
+    worker), so its timeout and retry budget apply to probes too. With
+    ``config.workers > 1`` the doubling phase speculatively probes the
+    next few doublings in parallel; the boundary (and thus the answer)
+    is identical to the one-worker search.
     """
+    from ..exec import Executor, ExecutorConfig
+
+    config = config if config is not None else ExecutorConfig(workers=1)
     cfg = get_model_config(model)
     step = cfg.batch_divisor
     prober = _Prober(model, policy, system, scale=scale,
                      iterations=iterations, deepum_config=deepum_config,
-                     seed=seed, cache=cache)
+                     seed=seed, executor=Executor(config, cache=cache))
     lo = start_batch if start_batch is not None else cfg.fig9_batches[0]
     lo = max(step, (lo // step) * step)
     if not prober(lo):
@@ -200,13 +164,11 @@ def max_batch_outcome(
             return prober.outcome(step, 0)
     hi = lo * 2
     while True:
-        if probe_workers > 1:
-            # Speculative wave: probe the next few doublings concurrently.
-            # Wasted probes cost worker time, never correctness — the
-            # boundary below is read off the same per-batch outcomes the
-            # serial search would compute one by one.
-            wave = [hi * (2 ** i) for i in range(probe_workers)]
-            prober.probe_many(wave, probe_workers)
+        # Speculative wave: probe the next ``workers`` doublings at once.
+        # Wasted probes cost worker time, never correctness — the boundary
+        # below is read off the same per-batch outcomes a one-worker
+        # search computes one by one.
+        prober.probe_many([hi * (2 ** i) for i in range(config.workers)])
         if not prober(hi):
             break
         lo = hi
@@ -223,20 +185,3 @@ def max_batch_outcome(
         else:
             hi = mid
     return prober.outcome(step, lo)
-
-
-def max_batch_search(
-    model: str,
-    policy: str,
-    system: SystemConfig,
-    *,
-    scale: float,
-    start_batch: Optional[int] = None,
-    iterations: int = 2,
-    deepum_config: Optional[DeepUMConfig] = None,
-) -> int:
-    """Integer-only view of :func:`max_batch_outcome` (0 = nothing fits)."""
-    return max_batch_outcome(
-        model, policy, system, scale=scale, start_batch=start_batch,
-        iterations=iterations, deepum_config=deepum_config,
-    ).max_batch

@@ -336,6 +336,15 @@ def test_parallel_bench_failed_cell_raises_with_journal_kept(
     assert runs[0]["counts"] == {"failed": 1}
 
 
+def test_one_worker_bench_honours_cell_timeout(monkeypatch):
+    from repro.exec import INJECT_ENV
+
+    monkeypatch.setenv(INJECT_ENV, json.dumps(
+        {"mobilenet@3072/um": {"mode": "hang"}}))
+    with pytest.raises(BenchRunError, match="timeout"):
+        run_scenario(TINY, repeats=1, warmup_runs=0, cell_timeout=0.5)
+
+
 def test_oom_cell_raises_bench_error():
     from repro.bench.runner import _sim_metrics
     from repro.harness.experiment import ExperimentResult

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from repro.exec import (
     ResultCache,
     RunJournal,
     cache_key,
-    experiment_task,
+    request_task,
 )
 from repro.exec import bench_cell_task as make_bench_cell_task
 from repro.exec.cache import (
@@ -278,7 +279,7 @@ def test_cache_stats_json(tmp_path, capsys):
 # --------------------------------------------------------------------- #
 
 def _smoke_tasks():
-    return [experiment_task(RunRequest(
+    return [request_task(RunRequest(
         "mobilenet", policy=policy, batch=64,
         warmup_iterations=1, measure_iterations=1))
         for policy in ("um", "deepum")]
@@ -391,3 +392,32 @@ def test_no_cache_flag_and_env_off_suppress_the_cache(tmp_path, capsys,
     assert main(argv) == 0
     assert "dir=" + default_dir in capsys.readouterr().out
     assert os.path.isdir(default_dir)
+
+
+#: Each cell-running command at one worker, small enough for tier-1.
+ONE_WORKER_COMMANDS = {
+    "run": ["run", "mobilenet", "--batch", "64", "--policies", "um,deepum",
+            "--warmup", "1", "--measure", "1"],
+    "serve": ["serve", "dlrm", "--requests", "4", "--warmup", "1",
+              "--policies", "um,deepum"],
+    "sweep-degree": ["sweep-degree", "mobilenet", "--batch", "64",
+                     "--degrees", "1,8", "--warmup", "1", "--measure", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(ONE_WORKER_COMMANDS))
+def test_one_worker_commands_replay_from_the_cache(tmp_path, capsys,
+                                                   command):
+    """--workers 1 runs through the executor, so --cache-dir applies."""
+    argv = ONE_WORKER_COMMANDS[command] + [
+        "--workers", "1", "--cache-dir", str(tmp_path / "cache")]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    assert "hits=0 misses=2 stores=2" in cold
+    assert main(argv) == 0
+    warm = capsys.readouterr().out
+    assert re.search(r"cache: hits=2 misses=0 ", warm), warm
+    table = [line for line in cold.splitlines() if "|" in line]
+    assert table
+    assert table == [line for line in warm.splitlines() if "|" in line]
+

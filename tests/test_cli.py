@@ -158,3 +158,45 @@ def test_run_obs_parallel_writes_executor_timeline(tmp_path, capsys):
     doc = json.loads(trace_path.read_text())
     names = {event.get("name") for event in doc["traceEvents"]}
     assert "mobilenet@64/um" in names
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["run", "mobilenet", "--batch", "64", "--policies", "um"],
+     "mobilenet@64/um"),
+    (["sweep-degree", "mobilenet", "--batch", "64", "--degrees", "8"],
+     "mobilenet@64/deepum/N8"),
+    (["serve", "dlrm", "--requests", "4", "--policies", "um"],
+     "serve-dlrm@160000/um"),
+], ids=["run", "sweep-degree", "serve"])
+def test_one_worker_cell_timeout_ends_as_a_timeout_row(monkeypatch, capsys,
+                                                       argv, key):
+    """A hung cell at --workers 1 is killed at --cell-timeout, not waited on."""
+    from repro.exec import INJECT_ENV
+
+    monkeypatch.setenv(INJECT_ENV, json.dumps({key: {"mode": "hang"}}))
+    assert main(argv + ["--warmup", "1", "--measure", "1", "--workers", "1",
+                        "--cell-timeout", "0.5"]) == 1
+    out = capsys.readouterr().out
+    assert re.search(r"\| timeout: cell exceeded the 0\.5s", out), out
+
+
+def test_max_batch_probes_honour_cell_timeout(monkeypatch, capsys):
+    """Probes run under the command's executor config, timeout included."""
+    from repro.exec import INJECT_ENV
+
+    monkeypatch.setenv(INJECT_ENV, json.dumps({"probe-64": {"mode": "hang"}}))
+    assert main(["max-batch", "mobilenet", "--policies", "um", "--batch",
+                 "64", "--cell-timeout", "0.5"]) == 0
+    assert "batch 64: timeout" in capsys.readouterr().out
+
+
+def test_one_worker_run_retries_a_flaky_cell(monkeypatch, capsys):
+    from repro.exec import INJECT_ENV
+
+    monkeypatch.setenv(INJECT_ENV, json.dumps(
+        {"mobilenet@64/um": {"mode": "flaky", "ok_on_attempt": 2}}))
+    assert main(["run", "mobilenet", "--batch", "64", "--policies", "um",
+                 "--warmup", "1", "--measure", "1", "--retries", "1"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"mobilenet@64/um: ok in \S+ \(attempt 2\)", out), out
+

@@ -18,8 +18,8 @@ from repro.exec import (
     JournalError,
     RunJournal,
     Task,
-    experiment_task,
     list_runs,
+    request_task,
     validate_state,
 )
 from repro.harness.experiment import calibrate_system
@@ -38,7 +38,7 @@ def tiny_request(policy="um", batch=64, seed=0):
 
 
 def tiny_tasks(policies=("um", "deepum", "lms")):
-    return [experiment_task(tiny_request(p)) for p in policies]
+    return [request_task(tiny_request(p)) for p in policies]
 
 
 def inject(monkeypatch, spec):
@@ -58,8 +58,8 @@ def test_config_validation():
 
 
 def test_duplicate_task_keys_rejected():
-    tasks = [experiment_task(tiny_request("um")),
-             experiment_task(tiny_request("um"))]
+    tasks = [request_task(tiny_request("um")),
+             request_task(tiny_request("um"))]
     with pytest.raises(ValueError, match="duplicate"):
         Executor(FAST).run_tasks(tasks)
 
@@ -74,7 +74,7 @@ def test_unknown_task_kind_rejected():
 def test_parallel_reproduces_serial_bit_for_bit():
     policies = ("um", "deepum", "lms")
     serial = {
-        experiment_task(tiny_request(p)).key:
+        request_task(tiny_request(p)).key:
             execute(tiny_request(p)).snapshot
         for p in policies
     }
@@ -87,8 +87,8 @@ def test_parallel_reproduces_serial_bit_for_bit():
 
 
 def test_oom_cell_degrades_not_aborts():
-    tasks = [experiment_task(tiny_request("um")),
-             experiment_task(tiny_request("um", batch=50_000))]
+    tasks = [request_task(tiny_request("um")),
+             request_task(tiny_request("um", batch=50_000))]
     results = Executor(FAST).run_tasks(tasks)
     by_key = {k.split("@")[1]: v for k, v in results.items()}
     assert by_key["64/um"]["status"] == "ok"
@@ -115,8 +115,8 @@ def test_journal_create_load_round_trip(tmp_path):
 def test_journal_rejects_duplicates_and_empty(tmp_path):
     with pytest.raises(JournalError, match="no tasks"):
         RunJournal.create([], kind="run", runs_dir=str(tmp_path))
-    tasks = [experiment_task(tiny_request("um")),
-             experiment_task(tiny_request("um"))]
+    tasks = [request_task(tiny_request("um")),
+             request_task(tiny_request("um"))]
     with pytest.raises(JournalError, match="duplicate"):
         RunJournal.create(tasks, kind="run", runs_dir=str(tmp_path))
 
@@ -166,7 +166,7 @@ def test_list_runs_summarizes(tmp_path):
 def test_killed_run_resumes_to_identical_results(tmp_path):
     policies = ("um", "deepum", "lms", "ideal")
     serial = {
-        experiment_task(tiny_request(p)).key:
+        request_task(tiny_request(p)).key:
             execute(tiny_request(p)).snapshot
         for p in policies
     }

@@ -8,7 +8,7 @@ from repro.harness import (
     POLICIES,
     calibrate_system,
     build_policy,
-    max_batch_search,
+    max_batch_outcome,
     run_experiment,
 )
 from repro.harness.experiment import measure_footprint
@@ -95,10 +95,10 @@ def test_max_batch_search_deepum_exceeds_lms():
         gpu=GPUSpec(memory_bytes=96 * MiB),
         host=HostSpec(memory_bytes=1 * GiB),
     )
-    lms_max = max_batch_search("bert-base", "lms", system, scale=TINY,
-                               start_batch=2)
-    deepum_max = max_batch_search("bert-base", "deepum", system, scale=TINY,
-                                  start_batch=2)
+    lms_max = max_batch_outcome("bert-base", "lms", system, scale=TINY,
+                                start_batch=2).max_batch
+    deepum_max = max_batch_outcome("bert-base", "deepum", system,
+                                   scale=TINY, start_batch=2).max_batch
     assert deepum_max > lms_max > 0
 
 
@@ -107,5 +107,5 @@ def test_max_batch_search_returns_zero_when_nothing_fits():
         gpu=GPUSpec(memory_bytes=16 * MiB),
         host=HostSpec(memory_bytes=8 * MiB),
     )
-    assert max_batch_search("bert-base", "um", system, scale=TINY,
-                            start_batch=2) == 0
+    assert max_batch_outcome("bert-base", "um", system, scale=TINY,
+                             start_batch=2).max_batch == 0

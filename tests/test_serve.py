@@ -355,11 +355,10 @@ def test_serving_rejects_non_um_policies():
 
 
 def test_serve_task_round_trips_through_the_executor():
-    from repro.exec import KIND_SERVE as TASK_KIND_SERVE
-    from repro.exec import execute_task, serve_task
+    from repro.exec import execute_task, request_task
 
-    task = serve_task(serve_request())
-    assert task.kind == TASK_KIND_SERVE
+    task = request_task(serve_request())
+    assert task.kind == KIND_SERVE
     assert task.key == "serve-dlrm@160000/deepum"
     assert task.payload["kind"] == "serve"
     doc = execute_task(task.kind, task.payload)
@@ -369,11 +368,15 @@ def test_serve_task_round_trips_through_the_executor():
     assert doc["snapshot"] == execute(serve_request()).snapshot
 
 
-def test_serve_task_rejects_experiment_requests():
-    from repro.exec import serve_task
+def test_request_task_kind_follows_the_request():
+    """One task builder: the task kind (journal kind, cache-key content)
+    is the request's own kind, so the two never mix."""
+    from repro.exec import request_task
 
-    with pytest.raises(ValueError, match="serve"):
-        serve_task(RunRequest(model="mobilenet"))
+    experiment = request_task(RunRequest(model="mobilenet", batch=64))
+    assert experiment.kind == KIND_EXPERIMENT
+    assert "kind" not in experiment.payload
+    assert request_task(serve_request()).kind == KIND_SERVE
 
 
 def test_serve_payload_canonicalizes_stably():

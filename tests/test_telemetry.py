@@ -24,8 +24,8 @@ from repro.exec import (
     RunJournal,
     Telemetry,
     classify_running,
-    experiment_task,
     read_heartbeat,
+    request_task,
     watch_snapshot,
     write_heartbeat,
 )
@@ -41,7 +41,7 @@ def tiny_request(policy="um", seed=0):
 
 
 def tiny_tasks(policies=("um", "deepum")):
-    return [experiment_task(tiny_request(p)) for p in policies]
+    return [request_task(tiny_request(p)) for p in policies]
 
 
 class FakeClock:
